@@ -1,6 +1,8 @@
 // Command digestdump prints the determinism-audit digest for every
 // scheme × topology × seed point of the audit matrix (the same points
-// internal/core/determinism_test.go replays). Its output is the
+// internal/core/determinism_test.go replays), plus the shared-L1
+// organisations and the adaptive mesh routing policies (DyXY,
+// Footprint, HARE) under Delegated Replies. Its output is the
 // digest-identity evidence for refactors that must not change
 // simulated behaviour: capture the output before and after a change
 // and diff — any drift means the change was not behaviour-preserving.
@@ -83,6 +85,23 @@ func main() {
 			}
 			fmt.Printf("seed=%-3d %-10v %-10v cycles=%-6d digest=%#016x\n",
 				seed, config.SchemeDelegatedReplies, org, a.Cycles, a.Digest)
+		}
+		// Adaptive mesh routing policies (the rows above all use CDR).
+		for _, alg := range []config.RoutingAlg{config.RoutingDyXY, config.RoutingFootprint, config.RoutingHARE} {
+			cfg := config.Default()
+			cfg.Scheme = config.SchemeDelegatedReplies
+			cfg.NoC.Topology = config.TopoMesh
+			cfg.NoC.Routing = alg
+			cfg.Seed = seed
+			cfg.WarmupCycles = *warm
+			cfg.MeasureCycles = *cycles
+			cfg.GPU.KernelCycles = 300
+			a, err := core.RunAuditCtrl(core.RunControl{Parallel: *parallel}, cfg, "NN", "vips")
+			if err != nil {
+				panic(err)
+			}
+			fmt.Printf("seed=%-3d %-10v %-10v cycles=%-6d digest=%#016x\n",
+				seed, config.SchemeDelegatedReplies, alg, a.Cycles, a.Digest)
 		}
 	}
 }

@@ -87,7 +87,10 @@ type Network struct {
 
 	// DebugChecks enables the slow cross-checks: Quiet and
 	// CheckCreditInvariant re-derive the activity counters by full
-	// scan and panic/error on divergence. Tests switch this on.
+	// scan and panic/error on divergence, and every router tick
+	// rebuilds the VC-allocation requester sets from the candidate
+	// bitmaps and panics if they differ from the maintained ones.
+	// Tests switch this on.
 	DebugChecks bool
 
 	// TraceSink, when non-nil, receives every ejected packet that

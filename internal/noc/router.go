@@ -1,25 +1,26 @@
 package noc
 
-import "delrep/internal/fifo"
+import (
+	"fmt"
+	"math/bits"
+
+	"delrep/internal/fifo"
+)
 
 // vcBuf is the input buffer state of one virtual channel: a fixed-
 // capacity flit ring (sized to bufDepth — credits bound occupancy)
 // plus the routing/allocation state of the packet currently at its
-// front. Routing candidates are folded into a per-(port,vc) claimed
-// bitmap so VC allocation tests membership with one bit probe instead
-// of a linear candidate scan.
+// front. Routing candidates are folded into a per-(port,vc) bitmap.
+// VC allocation does not read it: while the head waits, each candidate
+// bit is mirrored as this VC's bit in the router's transposed request
+// matrix (Router.reqBy), and the bitmap is what clears those bits again
+// when the head is granted.
 type vcBuf struct {
 	q       fifo.Ring[Flit]
 	mask    []uint64 // bit (port*numVCs + vc) set: candidate output VC
 	routed  bool     // route computed for the current head packet
 	outPort int
 	outVC   int
-}
-
-// allows reports whether output (port, vc) — encoded as a flat bit
-// index — is a routing candidate for the buffered head packet.
-func (b *vcBuf) allows(bit int) bool {
-	return b.mask[bit>>6]&(1<<(uint(bit)&63)) != 0
 }
 
 // clearRoute drops the head packet's routing state (tail departed).
@@ -85,16 +86,29 @@ type Router struct {
 	saInPtr  []int // per input port: rotating VC pointer
 	vaOutPtr []int // per output port: rotating grant pointer (VC allocation)
 
+	// reqBy is the transposed request matrix of VC allocation: for each
+	// output VC (bit port*numVCs+vc) a reqWords-word bitset over input
+	// VCs (indexed like inFlat), holding the routed input VCs that are
+	// still waiting for an output VC and name this one as a candidate.
+	// Bits are set when a head is routed and cleared when it is granted.
+	reqBy    []uint64
+	reqWords int
+
 	// Scratch buffers reused every tick (allocated once here, never
 	// on the tick path).
 	inputUsed  []bool
 	outputUsed []bool
 	candBuf    []Candidate
+	// waitSet holds, per priority, a reqWords-word bitset of the input
+	// VCs whose head is waiting for an output VC this tick. VC
+	// allocation rebuilds it in its classification pass and grants from
+	// reqBy[output VC] & waitSet[prio].
+	waitSet [3][]uint64
 	// headPrio caches, per input VC (indexed port*numVCs+vc), the
-	// priority of an arbitration-eligible head flit, or -1. Both
-	// allocators classify heads in a single scan and then arbitrate
-	// over this byte array, instead of re-dereferencing ring fronts and
-	// packet priorities in their rotating inner loops.
+	// priority of a head flit eligible for switch allocation, or -1.
+	// Switch allocation classifies heads in a single scan and then
+	// arbitrates over this byte array, instead of re-dereferencing ring
+	// fronts and packet priorities in its rotating inner loop.
 	headPrio []int8
 
 	// buffered counts flits across all input VC rings; it drives the
@@ -124,6 +138,11 @@ func newRouter(net *Network, id, nports, numVCs, bufDepth int) *Router {
 		ewma:       make([]float64, nports),
 	}
 	maskWords := (nports*numVCs + 63) / 64
+	r.reqWords = maskWords
+	r.reqBy = make([]uint64, nports*numVCs*maskWords)
+	for p := range r.waitSet {
+		r.waitSet[p] = make([]uint64, maskWords)
+	}
 	r.inFlat = make([]vcBuf, nports*numVCs)
 	for p := 0; p < nports; p++ {
 		r.in[p] = r.inFlat[p*numVCs : (p+1)*numVCs : (p+1)*numVCs]
@@ -188,6 +207,11 @@ func (r *Router) tick() {
 		return
 	}
 	r.allocateVCs()
+	if r.net.DebugChecks {
+		if err := r.checkRequesters(); err != nil {
+			panic("noc: VC allocation requester sets diverged: " + err.Error())
+		}
+	}
 	r.switchAllocAndTraverse()
 }
 
@@ -198,18 +222,23 @@ func (r *Router) tick() {
 // iteration orders (fixed or cycle-stepped) are not used because they
 // let persistent flows resonance-lock the allocator and starve traffic
 // turning in from other dimensions at merge routers.
+//
+// The requesters of an output VC are reqBy[that VC] & waitSet[prio],
+// and the grant is the first set bit at or after the pointer, wrapping
+// around: the input VC a rotating scan over every input VC would reach
+// first.
 func (r *Router) allocateVCs() {
 	numVCs := r.net.numVCs
-	// Single classification pass: route any new head, then record the
-	// priority of every VC still waiting for an output. Routing one VC
-	// touches only that VC's own mask/routed state, so classifying as
-	// we go sees the same values as a separate counting pass would.
+	// Single classification pass: route any new head (registering it as
+	// a requester of every candidate output VC), then record every VC
+	// still waiting for an output in its priority's waiting set.
 	var waiting [3]int
-	headPrio := r.headPrio
+	for p := range r.waitSet {
+		clear(r.waitSet[p])
+	}
 	for idx := range r.inFlat {
 		b := &r.inFlat[idx]
 		if b.q.Len() == 0 || b.outPort >= 0 {
-			headPrio[idx] = -1
 			continue
 		}
 		head := b.q.Front()
@@ -217,27 +246,26 @@ func (r *Router) allocateVCs() {
 			if !head.Head() {
 				panic("noc: body flit at VC front without allocated route")
 			}
+			w, in := idx>>6, uint64(1)<<(uint(idx)&63)
 			cands := r.net.topo.Route(r.net, r.ID, head.Pkt, r.candBuf[:0])
 			for _, c := range cands {
 				for vc := c.VCLo; vc <= c.VCHi; vc++ {
 					bit := c.Port*numVCs + vc
 					b.mask[bit>>6] |= 1 << (uint(bit) & 63)
+					r.reqBy[bit*r.reqWords+w] |= in
 				}
 			}
 			b.routed = true
 			r.candBuf = cands[:0] // keep a grown buffer for reuse
 		}
 		prio := head.Pkt.Prio
-		headPrio[idx] = int8(prio)
+		r.waitSet[prio][idx>>6] |= 1 << (uint(idx) & 63)
 		waiting[prio]++
 	}
-	total := r.nports * numVCs
 	for prio := int(PrioCPU); prio >= int(PrioGPU); prio-- {
-		if waiting[prio] == 0 {
-			continue
-		}
-		granted := 0
-		for op := 0; op < r.nports; op++ {
+		left := waiting[prio]
+		wait := r.waitSet[prio]
+		for op := 0; op < r.nports && left > 0; op++ {
 			out := &r.out[op]
 			if !out.connected {
 				continue
@@ -247,42 +275,88 @@ func (r *Router) allocateVCs() {
 					continue
 				}
 				bit := op*numVCs + ovc
-				for k := 0; k < total; k++ {
-					idx := r.vaOutPtr[op] + k
-					if idx >= total {
-						idx -= total
-					}
-					if int(headPrio[idx]) != prio {
-						continue
-					}
-					b := &r.inFlat[idx]
-					if !b.allows(bit) {
-						continue
-					}
-					p, v := idx/numVCs, idx%numVCs
-					out.owner[ovc] = ownerKey(p, v)
-					b.outPort = op
-					b.outVC = ovc
-					headPrio[idx] = -1 // granted: no longer waiting
-					if pkt := b.q.Front().Pkt; pkt.Trace != nil {
-						pkt.Trace.vcAlloc(r.ID, r.net.now)
-					}
-					r.vaOutPtr[op] = idx + 1
-					if r.vaOutPtr[op] == total {
-						r.vaOutPtr[op] = 0
-					}
-					granted++
+				idx := firstRequester(r.reqBy[bit*r.reqWords:(bit+1)*r.reqWords], wait, r.vaOutPtr[op])
+				if idx < 0 {
+					continue
+				}
+				b := &r.inFlat[idx]
+				out.owner[ovc] = ownerKey(idx/numVCs, idx%numVCs)
+				b.outPort = op
+				b.outVC = ovc
+				r.dropRequests(idx, b)
+				if pkt := b.q.Front().Pkt; pkt.Trace != nil {
+					pkt.Trace.vcAlloc(r.ID, r.net.now)
+				}
+				r.vaOutPtr[op] = idx + 1
+				if r.vaOutPtr[op] == len(r.inFlat) {
+					r.vaOutPtr[op] = 0
+				}
+				left--
+				if left == 0 {
 					break
 				}
-				if granted == waiting[prio] {
-					break
-				}
-			}
-			if granted == waiting[prio] {
-				break
 			}
 		}
 	}
+}
+
+// dropRequests withdraws granted input VC idx from the requester sets
+// of all its candidate output VCs, which also takes it out of the rest
+// of this tick's allocation.
+func (r *Router) dropRequests(idx int, b *vcBuf) {
+	w, in := idx>>6, uint64(1)<<(uint(idx)&63)
+	for mw, m := range b.mask {
+		for m != 0 {
+			bit := mw<<6 + bits.TrailingZeros64(m)
+			m &= m - 1
+			r.reqBy[bit*r.reqWords+w] &^= in
+		}
+	}
+}
+
+// firstRequester returns the first input VC set in both req and wait,
+// searching cyclically from index start, or -1 if there is none.
+func firstRequester(req, wait []uint64, start int) int {
+	w0 := start >> 6
+	if x := req[w0] & wait[w0] & (^uint64(0) << (uint(start) & 63)); x != 0 {
+		return w0<<6 + bits.TrailingZeros64(x)
+	}
+	for w := w0 + 1; w < len(req); w++ {
+		if x := req[w] & wait[w]; x != 0 {
+			return w<<6 + bits.TrailingZeros64(x)
+		}
+	}
+	// Wrapped: every set bit at or past start was ruled out above, so
+	// the lowest remaining bit of words 0..w0 is the winner.
+	for w := 0; w <= w0; w++ {
+		if x := req[w] & wait[w]; x != 0 {
+			return w<<6 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
+// checkRequesters rebuilds the transposed request matrix from the
+// per-VC candidate bitmaps and returns an error naming the first
+// output VC whose maintained requester set differs — the debug-mode
+// cross-check for reqBy.
+func (r *Router) checkRequesters() error {
+	for bit := 0; bit < len(r.reqBy)/r.reqWords; bit++ {
+		for w := 0; w < r.reqWords; w++ {
+			var want uint64
+			for i := 0; i < 64 && w<<6+i < len(r.inFlat); i++ {
+				b := &r.inFlat[w<<6+i]
+				if b.routed && b.outPort < 0 && b.mask[bit>>6]&(1<<(uint(bit)&63)) != 0 {
+					want |= 1 << uint(i)
+				}
+			}
+			if got := r.reqBy[bit*r.reqWords+w]; got != want {
+				return fmt.Errorf("router %d output VC %d: requester word %d is %#x, candidate masks give %#x",
+					r.ID, bit, w, got, want)
+			}
+		}
+	}
+	return nil
 }
 
 // switchAllocAndTraverse picks at most one flit per input port and per

@@ -8,10 +8,11 @@ import (
 	"delrep/internal/noc"
 )
 
-// meshHarness drives an 8x8 mesh at saturation with a fixed pool of
-// packets: delivered packets are recycled into the injection side, so
-// the steady state exercises the full router pipeline without any
-// allocation attributable to the harness itself.
+// meshHarness drives a 64-node network (an 8x8 mesh unless built with
+// newHarness) at saturation with a fixed pool of packets: delivered
+// packets are recycled into the injection side, so the steady state
+// exercises the full router pipeline without any allocation
+// attributable to the harness itself.
 type meshHarness struct {
 	net  *noc.Network
 	free []*noc.Packet
@@ -24,9 +25,18 @@ const (
 )
 
 func newMeshHarness() *meshHarness {
-	topo := noc.NewMesh(8, 8, noc.MeshPolicy{
+	return newHarness(noc.NewMesh(8, 8, noc.MeshPolicy{
 		Alg: config.RoutingCDR, ReqOrder: config.OrderXY, RepOrder: config.OrderXY,
-	})
+	}))
+}
+
+// newCrossbarHarness drives the single 64-port crossbar router: 128
+// input VCs, so its VC-allocation bitsets span two words.
+func newCrossbarHarness() *meshHarness {
+	return newHarness(noc.NewCrossbar(meshNodes))
+}
+
+func newHarness(topo noc.Topology) *meshHarness {
 	cfg := config.Default().NoC
 	net := noc.NewNetwork("perf", topo, cfg, meshNodes, noc.Params{
 		InjCapCore: 8, InjCapMem: 8, EjCap: 24, AsmCap: 4,
@@ -85,6 +95,19 @@ func BenchmarkRouterTick(b *testing.B) {
 	}
 }
 
+// BenchmarkRouterTickCrossbar measures one network cycle of the
+// 64-port crossbar at saturation: one high-radix router whose VC
+// allocator arbitrates 128 input VCs for 128 output VCs.
+func BenchmarkRouterTickCrossbar(b *testing.B) {
+	h := newCrossbarHarness()
+	h.warm()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.cycle()
+	}
+}
+
 // BenchmarkNetworkTickIdle measures one network cycle of a quiescent
 // 8x8 mesh: no buffered flits, no injection or ejection work. This is
 // the active-set scheduler's skip path; before activity gating it cost
@@ -124,14 +147,21 @@ func BenchmarkSystemCycle(b *testing.B) {
 }
 
 // TestNoCTickZeroAllocs is the allocation-regression gate: in steady
-// state, a network cycle of the saturated mesh must not allocate. Ring
-// buffers, persistent scratch arrays, and preallocated queues make the
-// hot path allocation-free; any append-churn regression trips this.
+// state, a network cycle of the saturated mesh or crossbar must not
+// allocate. Ring buffers, persistent scratch arrays (including the
+// multi-word VC-allocation bitsets of the crossbar), and preallocated
+// queues make the hot path allocation-free; any append-churn
+// regression trips this.
 func TestNoCTickZeroAllocs(t *testing.T) {
-	h := newMeshHarness()
-	h.warm()
-	allocs := testing.AllocsPerRun(500, h.cycle)
-	if allocs != 0 {
-		t.Fatalf("NoC tick allocates in steady state: %.2f allocs/cycle, want 0", allocs)
+	for _, c := range []struct {
+		name  string
+		build func() *meshHarness
+	}{{"mesh", newMeshHarness}, {"crossbar", newCrossbarHarness}} {
+		h := c.build()
+		h.warm()
+		allocs := testing.AllocsPerRun(500, h.cycle)
+		if allocs != 0 {
+			t.Fatalf("%s: NoC tick allocates in steady state: %.2f allocs/cycle, want 0", c.name, allocs)
+		}
 	}
 }
