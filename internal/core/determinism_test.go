@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"delrep/internal/config"
@@ -144,6 +145,28 @@ func TestDeterminismAuditParallelSharedL1(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeterminismParallelOversubscribed runs a short Fig5/Mesh point
+// (baseline, 8x8 mesh, HS×vips) at SetParallel(2) under GOMAXPROCS(1).
+// With fewer Ps than pool workers, the pool skips its spin and parks at
+// once on both sides of every dispatch; the digest must still equal
+// the serial run's.
+func TestDeterminismParallelOversubscribed(t *testing.T) {
+	cfg := auditConfig(config.SchemeBaseline, config.TopoMesh)
+	base := RunAudit(cfg, "HS", "vips")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a, err := RunAuditCtrl(RunControl{Parallel: 2}, cfg, "HS", "vips")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Workers != 2 {
+		t.Fatalf("engine ran %d workers, want 2", a.Workers)
+	}
+	if a.Cycles != base.Cycles || a.Digest != base.Digest || a.Results != base.Results {
+		t.Fatalf("GOMAXPROCS(1) N=2 diverged from serial: (%d, %#x) vs (%d, %#x)",
+			a.Cycles, a.Digest, base.Cycles, base.Digest)
 	}
 }
 

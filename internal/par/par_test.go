@@ -27,17 +27,30 @@ func TestPoolRunsEveryWorker(t *testing.T) {
 	}
 }
 
+// TestPoolPhases checks the two-phase step the simulator builds from
+// Run: a compute section on every worker, then a serial commit on the
+// caller that must see every section's writes. The sections write
+// plain per-worker slots, so under -race the barrier itself is what
+// orders them before the commit.
 func TestPoolPhases(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	var computed int64
-	committed := int64(-1)
-	p.Phases(
-		func(w int) { atomic.AddInt64(&computed, 1) },
-		func() { committed = atomic.LoadInt64(&computed) },
-	)
-	if computed != 4 || committed != 4 {
-		t.Fatalf("computed=%d committed=%d, want 4/4 (commit after the barrier)", computed, committed)
+	for round := 0; round < 50; round++ {
+		var computed int64
+		var slots [4]int64
+		p.Run(func(w int) {
+			atomic.AddInt64(&computed, 1)
+			slots[w] = int64(round)
+		})
+		committed := atomic.LoadInt64(&computed)
+		for w, v := range slots {
+			if v != int64(round) {
+				t.Fatalf("round %d: commit read slot %d = %d before its section finished", round, w, v)
+			}
+		}
+		if computed != 4 || committed != 4 {
+			t.Fatalf("computed=%d committed=%d, want 4/4 (commit after the barrier)", computed, committed)
+		}
 	}
 }
 
