@@ -1,8 +1,9 @@
-// Command delrepfleet coordinates a fleet of delrepd workers: it
-// serves the same /v1/jobs API as a single daemon and shards submitted
-// simulations across workers by content key, so every existing client
-// (curl, delrepsim -remote, expdriver -remote) scales past one machine
-// by pointing at the coordinator instead.
+// Command delrepfleet coordinates a fleet of delrepd workers: it runs
+// the same job front end as a single daemon (internal/serve, with its
+// admission control, SSE progress, traces, /debug pages and memo) over
+// an engine that shards each simulation across workers by content key,
+// so every existing client (curl, delrepsim -remote, expdriver -remote)
+// scales past one machine by pointing at the coordinator instead.
 //
 // Usage:
 //
@@ -20,9 +21,11 @@
 // drained by work stealing: a job whose home worker is saturated is
 // routed to an idle worker instead.
 //
-// On SIGINT/SIGTERM the coordinator stops admitting jobs, cancels
-// in-flight ones (propagating the cancellation to workers), and exits.
-// See internal/fleet and DESIGN.md §13 for the architecture.
+// On SIGINT/SIGTERM the coordinator drains exactly as delrepd does: it
+// stops admitting jobs, cancels its queue, and lets running jobs finish
+// for up to -drain before cancelling them, propagating each
+// cancellation to the worker holding the job. See internal/fleet and
+// DESIGN.md §13 for the architecture.
 package main
 
 import (
@@ -39,6 +42,7 @@ import (
 	"time"
 
 	"delrep/internal/fleet"
+	"delrep/internal/serve"
 )
 
 // workerList collects repeated -worker flags and comma-separated
@@ -68,9 +72,9 @@ func main() {
 		probe   = flag.Duration("probe", 2*time.Second, "worker health-probe interval")
 		retries = flag.Int("retries", 2, "extra failover rounds across the ready workers before a job fails")
 		steal   = flag.Int("steal-margin", 2, "outstanding-over-slots margin that marks a worker a straggler (work stealing kicks in)")
-		drain   = flag.Duration("drain", 30*time.Second, "how long shutdown waits while cancelling in-flight jobs")
+		drain   = flag.Duration("drain", 30*time.Second, "how long shutdown waits for running jobs before cancelling them and their worker jobs")
 		logJSON = flag.Bool("log-json", false, "emit logs as JSON lines instead of logfmt")
-		telem   = flag.Bool("telemetry", true, "record per-job span traces (GET /v1/jobs/{id}/trace)")
+		telem   = flag.Bool("telemetry", true, "record per-job span traces (GET /v1/jobs/{id}/trace) and the flight recorder (/debug/jobs)")
 	)
 	flag.Var(&workers, "worker", "worker base URL (repeatable)")
 	flag.Var(&workers, "workers", "comma-separated worker base URLs")
@@ -96,9 +100,7 @@ func main() {
 		ProbeInterval: *probe,
 		Retries:       *retries,
 		StealMargin:   *steal,
-		Logger:        logger,
-		Telemetry:     *telem,
-	})
+	}, serve.Options{Logger: logger, Telemetry: *telem})
 	if err != nil {
 		fatal("starting coordinator", "error", err)
 	}
@@ -120,7 +122,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		logger.WarnContext(ctx, "drain deadline passed", "error", err)
+		logger.WarnContext(ctx, "drain deadline passed: running jobs cancelled", "error", err)
 	}
 	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.WarnContext(ctx, "http shutdown", "error", err)

@@ -126,7 +126,7 @@ func runSweep(cfg config.Config, gpuList, cpuList, schemeList string, jobs int, 
 	}
 	fmt.Println(t)
 
-	c := eng.Counters()
+	c := eng.Snapshot()
 	where := "off"
 	if cache != nil {
 		where = cache.Dir()

@@ -202,7 +202,7 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		before := eng.Counters()
+		before := eng.Snapshot()
 		failsBefore := len(eng.Failures())
 		obsBefore, simsBefore := r.observed, r.obsSims
 
@@ -214,7 +214,7 @@ func main() {
 		// stays byte-identical across -j values and cache states.
 		// The variable accounting (simulated vs cached vs shared, and
 		// wall-clock) goes to stderr.
-		after := eng.Counters()
+		after := eng.Snapshot()
 		delivered := int(after.Executed+after.DiskHits+after.MemoHits-
 			before.Executed-before.DiskHits-before.MemoHits) + r.observed - obsBefore
 		fmt.Printf("(%s, %d runs)\n\n", e.name, delivered)
@@ -233,7 +233,7 @@ func main() {
 		}
 	}
 
-	c := eng.Counters()
+	c := eng.Snapshot()
 	where := "off"
 	if cache != nil {
 		where = cache.Dir()

@@ -39,11 +39,11 @@ func TestRunnerSharesResults(t *testing.T) {
 	r.Warm, r.Measure = 500, 1000 // tiny: this test runs real simulations
 	cfg := BaseConfig(config.SchemeBaseline)
 	a := r.Run(cfg, "HS", "vips")
-	if c := r.eng.Counters(); c.Executed != 1 {
+	if c := r.eng.Snapshot(); c.Executed != 1 {
 		t.Fatalf("first run executed %d simulations, want 1", c.Executed)
 	}
 	b := r.Run(cfg, "HS", "vips")
-	if c := r.eng.Counters(); c.Executed != 1 || c.MemoHits != 1 {
+	if c := r.eng.Snapshot(); c.Executed != 1 || c.MemoHits != 1 {
 		t.Fatalf("repeat run not shared: %+v", c)
 	}
 	if a != b {
@@ -51,7 +51,7 @@ func TestRunnerSharesResults(t *testing.T) {
 	}
 	cfg.Scheme = config.SchemeDelegatedReplies
 	r.Run(cfg, "HS", "vips")
-	if c := r.eng.Counters(); c.Executed != 2 {
+	if c := r.eng.Snapshot(); c.Executed != 2 {
 		t.Fatalf("different scheme not re-run: %+v", c)
 	}
 }

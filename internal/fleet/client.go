@@ -47,8 +47,8 @@ func NewClient(base, name string, httpc *http.Client) *Client {
 // Resolve implements runner.Resolver: express the spec in wire form,
 // submit it with ?wait=1, and decode the terminal job view. Specs the
 // wire form cannot carry return ErrNotRemotable, telling the engine to
-// run them locally.
-func (c *Client) Resolve(ctx context.Context, spec runner.Spec, parallel int) (runner.Remote, error) {
+// run them locally. A ?wait=1 submission reports no progress.
+func (c *Client) Resolve(ctx context.Context, spec runner.Spec, parallel int, _ func(done, total int64)) (runner.Remote, error) {
 	wire, err := simspec.FromConfig(spec.Cfg, spec.GPU, spec.CPU)
 	if err != nil {
 		return runner.Remote{}, fmt.Errorf("%w: %v", runner.ErrNotRemotable, err)
@@ -149,6 +149,7 @@ func remoteFromView(view serve.JobView) (runner.Remote, error) {
 		Digest:  digest,
 		Source:  src,
 		Worker:  view.Worker,
+		Workers: view.Workers,
 	}, nil
 }
 

@@ -10,17 +10,20 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sync"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"delrep/internal/core"
 	"delrep/internal/runner"
 	"delrep/internal/serve"
-	"delrep/internal/simspec"
 	"delrep/internal/telemetry"
 )
 
-// Options configures a coordinator Server.
+// Options configures a coordinator Server's routing. The job front end
+// (admission, logging, telemetry) is configured by the serve.Options
+// passed to New alongside.
 type Options struct {
 	// Workers are the delrepd base URLs the fleet shards over. Required.
 	Workers []string
@@ -43,17 +46,28 @@ type Options struct {
 	// nil builds one with a sane timeout. SSE streams always use an
 	// untimed variant of its transport.
 	HTTPClient *http.Client
-	// Logger receives structured logs; nil discards them.
-	Logger *slog.Logger
-	// Telemetry records a wall-clock span tree per job (route →
-	// dispatch attempts → watch), exported by GET /v1/jobs/{id}/trace.
-	Telemetry bool
 }
 
-// Server is the fleet coordinator: it accepts the same /v1/jobs API as
-// a single delrepd and shards the jobs across workers by content key.
-// Create with New; serve its Handler; stop with Shutdown.
+// slotsPerWorker is the coordinator's job slots per worker: delrepd's
+// default -queue, so the coordinator can keep every worker's queue
+// full before its own admission control pushes back.
+const slotsPerWorker = 64
+
+// Server is the fleet coordinator: a serve.Server — the same job front
+// end as delrepd — over a runner engine whose Remote resolves every job
+// through the ring. Create with New; serve its Handler; stop with
+// Shutdown.
 type Server struct {
+	srv *serve.Server
+	res *resolver
+	mux *http.ServeMux
+}
+
+// resolver is the fleet's runner.Resolver: it routes a spec over the
+// ring in failover order, probes the home shard's cache, submits the
+// job to a worker, follows it to a terminal state, and fails over or
+// steals as the registry's view of the workers demands.
+type resolver struct {
 	ring        *Ring
 	reg         *Registry
 	client      *http.Client // bounded-timeout calls (submit, probe, poll, cancel)
@@ -61,61 +75,21 @@ type Server struct {
 	logger      *slog.Logger
 	retries     int
 	stealMargin int
-	telemetry   bool
-	started     time.Time
-	mux         *http.ServeMux
-	wg          sync.WaitGroup
 
-	mu           sync.Mutex
-	jobs         map[string]*fleetJob
-	order        []*fleetJob
-	seq          int
-	draining     bool
-	runningCount int
-	sseSubs      int
-	statusCounts map[serve.Status]int64
-	nDispatch    int64 // jobs handed to a worker queue
-	nRetry       int64 // failover re-dispatches after a worker loss
-	nSteal       int64 // jobs rerouted off a straggling home worker
-	nProbeHit    int64 // cache-tier probes answered 200
-	nProbeMiss   int64 // cache-tier probes answered 404
+	nDispatch  atomic.Int64 // jobs handed to a worker queue
+	nRetry     atomic.Int64 // failover re-dispatches after a worker loss
+	nSteal     atomic.Int64 // jobs rerouted off a straggling home worker
+	nProbeHit  atomic.Int64 // cache-tier probes answered 200
+	nProbeMiss atomic.Int64 // cache-tier probes answered 404
 }
 
-// fleetJob is one job the coordinator owns. Identity fields are
-// immutable after creation; mutable state is guarded by Server.mu.
-type fleetJob struct {
-	id      string
-	req     serve.SubmitRequest // forwarded verbatim to workers
-	spec    simspec.Spec        // canonical form, echoed to clients
-	key     string              // full runner cache key
-	addr    string              // runner.CacheAddr(key), for /v1/cache probes
-	specKey string
-	prio    serve.Priority
-	ctx     context.Context
-	cancel  context.CancelFunc
-	doneCh  chan struct{}
-	log     *slog.Logger
-	trace   *telemetry.Trace // nil when telemetry is off
-
-	// Guarded by Server.mu.
-	status   serve.Status
-	errMsg   string
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	worker   string // current/final worker base URL
-	remoteID string // the job's id on that worker
-	source   string
-	workersN int
-	progress *serve.ProgressView
-	result   *simspec.Result
-	subs     map[chan sseEvent]struct{}
-}
-
-// sseEvent mirrors the worker daemon's event framing.
-type sseEvent struct {
-	name string
-	data any
+// resolution is one Resolve call's routing state.
+type resolution struct {
+	ctx      context.Context
+	body     []byte // the SubmitRequest forwarded verbatim to workers
+	addr     string // runner.CacheAddr(key), for /v1/cache probes
+	log      *slog.Logger
+	progress func(done, total int64)
 }
 
 // errPermanent wraps failures that re-dispatching cannot fix (a spec
@@ -126,11 +100,9 @@ type errPermanent struct{ err error }
 func (e errPermanent) Error() string { return e.err.Error() }
 
 // New builds a coordinator over the configured workers and starts its
-// health registry.
-func New(opts Options) (*Server, error) {
-	if len(opts.Workers) == 0 {
-		return nil, errors.New("fleet: no workers configured")
-	}
+// health registry. sopts configures the job front end; its Engine is
+// replaced by the ring-resolving one.
+func New(opts Options, sopts serve.Options) (*Server, error) {
 	if opts.Retries <= 0 {
 		opts.Retries = 2
 	}
@@ -141,267 +113,152 @@ func New(opts Options) (*Server, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	logger := opts.Logger
-	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	if sopts.Logger == nil {
+		sopts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	s := &Server{
-		ring: NewRing(opts.Workers, opts.Replicas),
+	// One spelling per worker for the ring, the registry and the
+	// resolver: "http://w:8080/" and "http://w:8080" are one worker.
+	urls := make([]string, len(opts.Workers))
+	for i, u := range opts.Workers {
+		urls[i] = strings.TrimRight(u, "/")
+	}
+	ring := NewRing(urls, opts.Replicas)
+	if len(ring.Members()) == 0 {
+		return nil, errors.New("fleet: no workers configured")
+	}
+	res := &resolver{
+		ring: ring,
+		reg:  NewRegistry(ring.Members(), opts.ProbeInterval, client, sopts.Logger),
 		// SSE watch streams live as long as the job runs; strip any
 		// overall timeout but keep the transport (and its dial/TLS
 		// limits) so tests can inject one.
-		client:       client,
-		stream:       &http.Client{Transport: client.Transport},
-		logger:       logger,
-		retries:      opts.Retries,
-		stealMargin:  opts.StealMargin,
-		telemetry:    opts.Telemetry,
-		jobs:         map[string]*fleetJob{},
-		statusCounts: map[serve.Status]int64{},
+		client:      client,
+		stream:      &http.Client{Transport: client.Transport},
+		logger:      sopts.Logger,
+		retries:     opts.Retries,
+		stealMargin: opts.StealMargin,
 	}
-	//simlint:ignore rngsource coordinator start timestamp, outside any simulation
-	s.started = time.Now()
-	s.reg = NewRegistry(s.ring.Members(), opts.ProbeInterval, client, logger)
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	s.mux.HandleFunc("GET /v1/workers", s.handleWorkers)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	sopts.Engine = runner.New(runner.Options{
+		Workers: slotsPerWorker * len(ring.Members()),
+		Remote:  res,
+	})
+	s := &Server{srv: serve.New(sopts), res: res, mux: http.NewServeMux()}
+	s.mux.Handle("/", s.srv.Handler())
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
+	s.mux.HandleFunc("GET /v1/workers", s.handleWorkers)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s, nil
 }
 
-// Handler returns the HTTP handler serving the coordinator API.
+// Handler returns the HTTP handler serving the coordinator API: the
+// serve.Server's, with fleet health and metrics layered on.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry exposes the worker registry (for status surfaces and tests).
-func (s *Server) Registry() *Registry { return s.reg }
+func (s *Server) Registry() *Registry { return s.res.reg }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+// Shutdown drains the job front end exactly as delrepd does — queued
+// jobs are cancelled, running ones get until ctx expires and are then
+// cancelled, the cancellation propagating to their workers — and then
+// stops the registry.
+func (s *Server) Shutdown(ctx context.Context) error {
+	err := s.srv.Shutdown(ctx)
+	s.res.reg.Close()
+	return err
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{fmt.Sprintf(format, args...)})
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var tr *telemetry.Trace
-	if s.telemetry {
-		tr = telemetry.New("job")
+// Resolve implements runner.Resolver: route by ring order, probe the
+// cache tier, submit, watch, and fail over on worker loss. The job's
+// original serve.SubmitRequest, carried by ctx, is forwarded verbatim,
+// parallel hint included.
+func (r *resolver) Resolve(ctx context.Context, spec runner.Spec, _ int, progress func(done, total int64)) (runner.Remote, error) {
+	req, ok := serve.RequestFromContext(ctx)
+	if !ok {
+		return runner.Remote{}, errors.New("fleet: the job context carries no submit request")
 	}
-	var req serve.SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	prio, err := serve.ParsePriority(req.Priority)
+	body, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return runner.Remote{}, err
 	}
-	// Resolve locally first: the coordinator rejects malformed specs
-	// itself and derives the routing key from the canonical config —
-	// the same key every worker would compute.
-	cfg, norm, err := req.Spec.Resolve()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	key := runner.Key(spec.Cfg, spec.GPU, spec.CPU)
+	c := &resolution{
+		ctx:      ctx,
+		body:     body,
+		addr:     runner.CacheAddr(key),
+		log:      r.logger.With("client", req.Client, "spec_key", runner.KeyHash(spec.Cfg, spec.GPU, spec.CPU)),
+		progress: progress,
 	}
-	if req.Client == "" {
-		req.Client = r.Header.Get("X-Delrep-Client")
-	}
-	key := runner.Key(cfg, norm.GPU, norm.CPU)
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "coordinator is draining")
-		return
-	}
-	s.seq++
-	//simlint:ignore ctxflow the job outlives the submitting request by design; cancellation comes from DELETE /jobs/{id} or drain, not the HTTP connection
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &fleetJob{
-		id:      fmt.Sprintf("f%06d", s.seq),
-		req:     req,
-		spec:    norm,
-		key:     key,
-		addr:    runner.CacheAddr(key),
-		specKey: runner.KeyHash(cfg, norm.GPU, norm.CPU),
-		prio:    prio,
-		ctx:     ctx,
-		cancel:  cancel,
-		doneCh:  make(chan struct{}),
-		status:  serve.StatusQueued,
-		subs:    map[chan sseEvent]struct{}{},
-		trace:   tr,
-	}
-	//simlint:ignore rngsource coordinator job timestamp, outside any simulation
-	j.created = time.Now()
-	j.log = s.logger.With("job", j.id, "client", req.Client, "spec_key", j.specKey)
-	if tr != nil {
-		tr.Root().Set("job", j.id)
-		tr.Root().Set("client", req.Client)
-		tr.Root().Set("spec_key", j.specKey)
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
-	view := s.viewLocked(j)
-	s.wg.Add(1)
-	s.mu.Unlock()
-	j.log.InfoContext(r.Context(), "job accepted",
-		"gpu", norm.GPU, "cpu", norm.CPU, "scheme", norm.Scheme, "priority", prio.String())
-	go s.dispatch(j)
-
-	if r.URL.Query().Has("wait") {
-		select {
-		case <-j.doneCh:
-			s.mu.Lock()
-			view = s.viewLocked(j)
-			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, view)
-		case <-r.Context().Done():
-			// The waiting client went away: its job goes with it, exactly
-			// as on a single daemon — cancellation propagates to the
-			// worker holding the job.
-			j.cancel()
-		}
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, view)
-}
-
-// viewLocked renders the job in the shared /v1/jobs wire shape.
-// Server.mu must be held.
-func (s *Server) viewLocked(j *fleetJob) serve.JobView {
-	v := serve.JobView{
-		ID:       j.id,
-		Status:   j.status,
-		Priority: j.prio.String(),
-		Client:   j.req.Client,
-		Spec:     j.spec,
-		Created:  j.created.UTC().Format(time.RFC3339Nano),
-		Error:    j.errMsg,
-		Worker:   j.worker,
-	}
-	if !j.started.IsZero() {
-		v.Started = j.started.UTC().Format(time.RFC3339Nano)
-	}
-	if !j.finished.IsZero() {
-		v.Finished = j.finished.UTC().Format(time.RFC3339Nano)
-	}
-	if j.status == serve.StatusRunning {
-		v.Progress = j.progress
-	}
-	if j.status == serve.StatusDone {
-		v.Source = j.source
-		v.Workers = j.workersN
-		v.Result = j.result
-	}
-	return v
-}
-
-// dispatch drives one job to a terminal state: route by ring order,
-// probe the cache tier, submit, watch, and fail over on worker loss.
-func (s *Server) dispatch(j *fleetJob) {
-	defer s.wg.Done()
-	defer j.cancel()
-	var root *telemetry.Span
-	if j.trace != nil {
-		root = j.trace.Root()
-	}
+	root := telemetry.SpanFromContext(ctx)
 	var lastErr error = errors.New("no ready workers")
-	for round := 0; round <= s.retries; round++ {
-		if j.ctx.Err() != nil {
-			s.finish(j, serve.StatusCancelled, "cancelled", "")
-			return
+	for round := 0; round <= r.retries; round++ {
+		if ctx.Err() != nil {
+			return runner.Remote{}, ctx.Err()
 		}
-		cands, stolen := s.candidates(j)
+		cands, stolen := r.candidates(key)
 		if stolen {
-			s.mu.Lock()
-			s.nSteal++
-			s.mu.Unlock()
+			r.nSteal.Add(1)
 		}
 		for _, worker := range cands {
-			if j.ctx.Err() != nil {
-				s.finish(j, serve.StatusCancelled, "cancelled", "")
-				return
-			}
 			span := root.Start("fleet.attempt")
 			span.Set("worker", worker)
-			done, err := s.attempt(j, worker)
+			rem, err := r.attempt(c, worker)
 			span.End()
-			if done {
-				return
+			if err == nil {
+				return rem, nil
+			}
+			if ctx.Err() != nil {
+				return runner.Remote{}, ctx.Err()
 			}
 			var perm errPermanent
 			if errors.As(err, &perm) {
-				s.finish(j, serve.StatusFailed, perm.Error(), worker)
-				return
+				return runner.Remote{Worker: worker}, err
 			}
-			if err != nil {
-				// A retryable attempt failure: the job falls over to the
-				// next candidate (or the next round). Replay is safe
-				// because simulations are deterministic and idempotent.
-				lastErr = err
-				s.mu.Lock()
-				s.nRetry++
-				s.mu.Unlock()
-				j.log.Warn("dispatch attempt failed", "worker", worker, "error", err)
-			}
+			// A retryable attempt failure: the job falls over to the
+			// next candidate (or the next round). Replay is safe
+			// because simulations are deterministic and idempotent.
+			lastErr = err
+			r.nRetry.Add(1)
+			c.log.WarnContext(ctx, "dispatch attempt failed", "worker", worker, "error", err)
 		}
 		// Every candidate failed (or none were ready): give the registry
 		// a probe cycle to notice recoveries before the next round.
 		select {
 		case <-time.After(time.Second):
-		case <-j.ctx.Done():
+		case <-ctx.Done():
 		}
 	}
-	s.finish(j, serve.StatusFailed,
-		fmt.Sprintf("no worker could run the job after %d rounds: %v", s.retries+1, lastErr), "")
+	if ctx.Err() != nil {
+		return runner.Remote{}, ctx.Err()
+	}
+	return runner.Remote{}, fmt.Errorf("no worker could run the job after %d rounds: %v", r.retries+1, lastErr)
 }
 
-// candidates returns the ready workers in failover order for the job's
-// key, applying the work-stealing policy: if the home worker is a
-// straggler (outstanding ≥ slots + margin) and a later worker has a
-// free slot, that idle worker is promoted to the front. The reported
-// bool is true when a steal reordered the list.
-func (s *Server) candidates(j *fleetJob) ([]string, bool) {
-	seq := s.ring.Sequence(j.key)
+// candidates returns the ready workers in failover order for the key,
+// applying the work-stealing policy: if the home worker is a straggler
+// (outstanding ≥ slots + margin) and a later worker has a free slot,
+// that idle worker is promoted to the front. The reported bool is true
+// when a steal reordered the list.
+func (r *resolver) candidates(key string) ([]string, bool) {
+	seq := r.ring.Sequence(key)
 	ready := make([]string, 0, len(seq))
 	for _, w := range seq {
-		if s.reg.Ready(w) {
+		if r.reg.Ready(w) {
 			ready = append(ready, w)
 		}
 	}
 	if len(ready) < 2 {
 		return ready, false
 	}
-	home := s.reg.Info(ready[0])
+	home := r.reg.Info(ready[0])
 	slots := home.Slots
 	if slots < 1 {
 		slots = 1 // no scrape yet: assume the minimum
 	}
-	if home.Outstanding < slots+s.stealMargin {
+	if home.Outstanding < slots+r.stealMargin {
 		return ready, false
 	}
 	for i := 1; i < len(ready); i++ {
-		alt := s.reg.Info(ready[i])
+		alt := r.reg.Info(ready[i])
 		altSlots := alt.Slots
 		if altSlots < 1 {
 			altSlots = 1
@@ -417,100 +274,69 @@ func (s *Server) candidates(j *fleetJob) ([]string, bool) {
 	return ready, false
 }
 
-// attempt runs the job once against one worker. It returns done=true
-// when the job reached a terminal state (including cancellation); a
-// false return with a non-nil error means the next candidate should be
-// tried, unless the error is errPermanent.
-func (s *Server) attempt(j *fleetJob, worker string) (bool, error) {
+// attempt runs the job once against one worker. A nil error carries
+// the result; otherwise the next candidate should be tried, unless the
+// error is errPermanent or the job was cancelled.
+func (r *resolver) attempt(c *resolution, worker string) (runner.Remote, error) {
 	// Cache-tier probe first: if this shard already holds the result,
 	// answer without consuming a worker queue slot.
-	if res, digest, ok, err := s.probeCache(j, worker); err != nil {
-		s.reg.MarkFailed(worker, err.Error())
-		return false, err
+	if res, digest, ok, err := r.probeCache(c, worker); err != nil {
+		r.reg.MarkFailed(worker, err.Error())
+		return runner.Remote{}, err
 	} else if ok {
-		s.mu.Lock()
-		j.worker = worker
-		if j.started.IsZero() {
-			//simlint:ignore rngsource coordinator job timestamp, outside any simulation
-			j.started = time.Now()
-		}
-		j.source = runner.SourceDisk.String()
-		//simlint:ignore detflow the timestamp above is job metadata; the Result is built purely from the worker's cached res/digest
-		r := simspec.Result{Spec: j.spec, Results: res, Digest: digest}
-		j.result = &r
-		s.mu.Unlock()
-		s.finish(j, serve.StatusDone, "", worker)
-		j.log.Info("job served from cache tier", "worker", worker)
-		return true, nil
+		c.log.Info("job served from cache tier", "worker", worker)
+		return runner.Remote{Results: res, Digest: digest, Source: runner.SourceDisk, Worker: worker}, nil
 	}
 
-	view, err := s.submit(j, worker)
+	view, err := r.submit(c, worker)
 	if err != nil {
-		return false, err
+		return runner.Remote{}, err
 	}
-	s.mu.Lock()
-	j.worker = worker
-	j.remoteID = view.ID
-	if j.status != serve.StatusRunning {
-		j.status = serve.StatusRunning
-		//simlint:ignore rngsource coordinator job timestamp, outside any simulation
-		j.started = time.Now()
-		s.runningCount++
-	}
-	s.nDispatch++
-	s.notifyLocked(j)
-	s.mu.Unlock()
-	s.reg.AddOutstanding(worker, 1)
-	defer s.reg.AddOutstanding(worker, -1)
-	j.log.Info("job dispatched", "worker", worker, "remote_job", view.ID)
+	r.nDispatch.Add(1)
+	r.reg.AddOutstanding(worker, 1)
+	defer r.reg.AddOutstanding(worker, -1)
+	c.log.Info("job dispatched", "worker", worker, "remote_job", view.ID)
 
-	term, err := s.watch(j, worker, view.ID)
+	term, err := r.watch(c, worker, view.ID)
 	if err != nil {
-		s.reg.MarkFailed(worker, err.Error())
-		return false, err
+		r.reg.MarkFailed(worker, err.Error())
+		return runner.Remote{}, err
 	}
 	switch term.Status {
 	case serve.StatusDone:
-		s.mu.Lock()
-		j.source = term.Source
-		j.workersN = term.Workers
-		j.result = term.Result
-		s.mu.Unlock()
-		s.finish(j, serve.StatusDone, "", worker)
-		return true, nil
+		rem, err := remoteFromView(term)
+		rem.Worker = worker
+		return rem, err
 	case serve.StatusFailed:
 		// A completed-but-failed simulation is deterministic: it would
 		// fail identically anywhere, so failover cannot help.
-		return false, errPermanent{fmt.Errorf("worker %s: %s", worker, term.Error)}
+		return runner.Remote{}, errPermanent{fmt.Errorf("worker %s: %s", worker, term.Error)}
 	case serve.StatusCancelled:
-		if j.ctx.Err() != nil {
-			s.finish(j, serve.StatusCancelled, "cancelled", worker)
-			return true, nil
+		if c.ctx.Err() != nil {
+			return runner.Remote{}, c.ctx.Err()
 		}
 		// The worker cancelled the job out from under us (it is
 		// draining): fail over to a survivor.
-		return false, fmt.Errorf("worker %s cancelled the job (draining?)", worker)
+		return runner.Remote{}, fmt.Errorf("worker %s cancelled the job (draining?)", worker)
 	}
-	return false, fmt.Errorf("worker %s: job ended in unexpected state %q", worker, term.Status)
+	return runner.Remote{}, fmt.Errorf("worker %s: job ended in unexpected state %q", worker, term.Status)
 }
 
 // probeCache checks one worker's disk-cache shard for the job's
 // content address. ok=true carries the cached results; a nil error
 // with ok=false is a plain miss; a non-nil error is a worker-health
 // problem.
-func (s *Server) probeCache(j *fleetJob, worker string) (res core.Results, digest string, ok bool, err error) {
-	s.mu.Lock()
-	s.nProbeMiss++ // corrected to a hit below
-	s.mu.Unlock()
-	ctx, cancel := context.WithTimeout(j.ctx, 10*time.Second)
+func (r *resolver) probeCache(c *resolution, worker string) (res core.Results, digest uint64, ok bool, err error) {
+	r.nProbeMiss.Add(1) // corrected to a hit below
+	ctx, cancel := context.WithTimeout(c.ctx, 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/cache/"+j.addr, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/cache/"+c.addr, nil)
 	if err != nil {
-		return res, "", false, err
+		return res, 0, false, err
 	}
-	resp, err := s.client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
-		return res, "", false, err
+		return res, 0, false, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
@@ -520,41 +346,38 @@ func (s *Server) probeCache(j *fleetJob, worker string) (res core.Results, diges
 	case resp.StatusCode == http.StatusOK:
 		var entry serve.CacheEntry
 		if err := json.NewDecoder(resp.Body).Decode(&entry); err != nil {
-			return res, "", false, fmt.Errorf("decoding cache entry: %v", err)
+			return res, 0, false, fmt.Errorf("decoding cache entry: %v", err)
 		}
-		s.mu.Lock()
-		s.nProbeMiss--
-		s.nProbeHit++
-		s.mu.Unlock()
-		return entry.Results, entry.Digest, true, nil
+		if digest, err = strconv.ParseUint(entry.Digest, 16, 64); err != nil {
+			return res, 0, false, fmt.Errorf("cache entry digest %q: %v", entry.Digest, err)
+		}
+		r.nProbeMiss.Add(-1)
+		r.nProbeHit.Add(1)
+		return entry.Results, digest, true, nil
 	case resp.StatusCode == http.StatusNotFound:
-		return res, "", false, nil
+		return res, 0, false, nil
 	case resp.StatusCode >= 500:
-		return res, "", false, fmt.Errorf("cache probe: worker answered %d", resp.StatusCode)
+		return res, 0, false, fmt.Errorf("cache probe: worker answered %d", resp.StatusCode)
 	default:
 		// An unexpected 4xx (an old worker without the endpoint answers
 		// 404 via the mux anyway) — treat as a miss, not a failure.
-		return res, "", false, nil
+		return res, 0, false, nil
 	}
 }
 
 // submit POSTs the job's original request to a worker and returns the
 // accepted job view.
-func (s *Server) submit(j *fleetJob, worker string) (serve.JobView, error) {
-	body, err := json.Marshal(j.req)
-	if err != nil {
-		return serve.JobView{}, errPermanent{err}
-	}
-	ctx, cancel := context.WithTimeout(j.ctx, 30*time.Second)
+func (r *resolver) submit(c *resolution, worker string) (serve.JobView, error) {
+	ctx, cancel := context.WithTimeout(c.ctx, 30*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/v1/jobs", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/v1/jobs", bytes.NewReader(c.body))
 	if err != nil {
 		return serve.JobView{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
-		s.reg.MarkFailed(worker, err.Error())
+		r.reg.MarkFailed(worker, err.Error())
 		return serve.JobView{}, err
 	}
 	defer func() {
@@ -576,7 +399,7 @@ func (s *Server) submit(j *fleetJob, worker string) (serve.JobView, error) {
 		return serve.JobView{}, errPermanent{fmt.Errorf("worker %s rejected the spec: %s", worker, readErrorBody(resp.Body))}
 	default:
 		err := fmt.Errorf("worker %s: submit answered %d", worker, resp.StatusCode)
-		s.reg.MarkFailed(worker, err.Error())
+		r.reg.MarkFailed(worker, err.Error())
 		return serve.JobView{}, err
 	}
 }
@@ -591,22 +414,22 @@ func readErrorBody(r io.Reader) string {
 	return "(no detail)"
 }
 
-// watch follows the worker's SSE stream for the remote job, proxying
-// progress to the coordinator's own subscribers, until a terminal view
+// watch follows the worker's SSE stream for the remote job, reporting
+// its progress into the coordinator's future, until a terminal view
 // arrives. A dropped stream falls back to one status poll so a worker
 // that died between events is distinguished from one that merely
 // closed the stream after the terminal event. If the coordinator job
 // is cancelled mid-watch, the cancellation is propagated to the worker
 // via DELETE before returning.
-func (s *Server) watch(j *fleetJob, worker, remoteID string) (serve.JobView, error) {
-	req, err := http.NewRequestWithContext(j.ctx, http.MethodGet, worker+"/v1/jobs/"+remoteID+"/events", nil)
+func (r *resolver) watch(c *resolution, worker, remoteID string) (serve.JobView, error) {
+	req, err := http.NewRequestWithContext(c.ctx, http.MethodGet, worker+"/v1/jobs/"+remoteID+"/events", nil)
 	if err != nil {
 		return serve.JobView{}, err
 	}
-	resp, err := s.stream.Do(req)
+	resp, err := r.stream.Do(req)
 	if err != nil {
-		if j.ctx.Err() != nil {
-			s.propagateCancel(j, worker, remoteID)
+		if c.ctx.Err() != nil {
+			r.propagateCancel(c, worker, remoteID)
 			return serve.JobView{Status: serve.StatusCancelled}, nil
 		}
 		return serve.JobView{}, err
@@ -621,28 +444,16 @@ func (s *Server) watch(j *fleetJob, worker, remoteID string) (serve.JobView, err
 		switch event {
 		case "progress":
 			var pv serve.ProgressView
-			if json.Unmarshal(data, &pv) != nil {
-				return true
+			if json.Unmarshal(data, &pv) == nil {
+				c.progress(pv.CyclesDone, pv.CyclesTotal)
 			}
-			s.mu.Lock()
-			j.progress = &pv
-			ev := sseEvent{name: "progress", data: &pv}
-			for ch := range j.subs {
-				select {
-				case ch <- ev:
-				default:
-				}
-			}
-			s.mu.Unlock()
 		case "status":
 			var view serve.JobView
 			if json.Unmarshal(data, &view) != nil {
 				return true
 			}
 			if view.Progress != nil {
-				s.mu.Lock()
-				j.progress = view.Progress
-				s.mu.Unlock()
+				c.progress(view.Progress.CyclesDone, view.Progress.CyclesTotal)
 			}
 			if view.Status.Terminal() {
 				terminal = &view
@@ -651,8 +462,8 @@ func (s *Server) watch(j *fleetJob, worker, remoteID string) (serve.JobView, err
 		}
 		return true
 	})
-	if j.ctx.Err() != nil && (terminal == nil || !terminal.Status.Terminal()) {
-		s.propagateCancel(j, worker, remoteID)
+	if c.ctx.Err() != nil && (terminal == nil || !terminal.Status.Terminal()) {
+		r.propagateCancel(c, worker, remoteID)
 		return serve.JobView{Status: serve.StatusCancelled}, nil
 	}
 	if terminal != nil {
@@ -663,7 +474,7 @@ func (s *Server) watch(j *fleetJob, worker, remoteID string) (serve.JobView, err
 	}
 	// The stream broke. One poll decides: a reachable worker tells us
 	// the job's true state; an unreachable one means failover.
-	view, perr := s.pollJob(worker, remoteID)
+	view, perr := r.pollJob(worker, remoteID)
 	if perr != nil {
 		return serve.JobView{}, fmt.Errorf("worker %s: %v (then poll failed: %v)", worker, err, perr)
 	}
@@ -674,14 +485,14 @@ func (s *Server) watch(j *fleetJob, worker, remoteID string) (serve.JobView, err
 }
 
 // pollJob fetches the remote job's current view once.
-func (s *Server) pollJob(worker, remoteID string) (serve.JobView, error) {
+func (r *resolver) pollJob(worker, remoteID string) (serve.JobView, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/jobs/"+remoteID, nil)
 	if err != nil {
 		return serve.JobView{}, err
 	}
-	resp, err := s.client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return serve.JobView{}, err
 	}
@@ -700,21 +511,21 @@ func (s *Server) pollJob(worker, remoteID string) (serve.JobView, error) {
 // worker holding the job. Best effort: the job is already cancelled
 // from the client's point of view, and an unreachable worker will
 // cancel it anyway when it notices (or has died with it).
-func (s *Server) propagateCancel(j *fleetJob, worker, remoteID string) {
+func (r *resolver) propagateCancel(c *resolution, worker, remoteID string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, worker+"/v1/jobs/"+remoteID, nil)
 	if err != nil {
 		return
 	}
-	resp, err := s.client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
-		j.log.WarnContext(ctx, "cancel propagation failed", "worker", worker, "error", err)
+		c.log.WarnContext(ctx, "cancel propagation failed", "worker", worker, "error", err)
 		return
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	j.log.InfoContext(ctx, "cancel propagated", "worker", worker, "remote_job", remoteID)
+	c.log.InfoContext(ctx, "cancel propagated", "worker", worker, "remote_job", remoteID)
 }
 
 // readSSE parses a text/event-stream, invoking fn per event; fn
@@ -742,239 +553,4 @@ func readSSE(r io.Reader, fn func(event string, data []byte) bool) error {
 		}
 	}
 	return sc.Err()
-}
-
-// finish retires the job. Idempotent: only the first call transitions.
-func (s *Server) finish(j *fleetJob, status serve.Status, errMsg, worker string) {
-	s.mu.Lock()
-	if j.status.Terminal() {
-		s.mu.Unlock()
-		return
-	}
-	if j.status == serve.StatusRunning {
-		s.runningCount--
-	}
-	wasStarted := !j.started.IsZero()
-	j.status = status
-	j.errMsg = errMsg
-	if worker != "" {
-		j.worker = worker
-	}
-	//simlint:ignore rngsource coordinator job timestamp, outside any simulation
-	j.finished = time.Now()
-	if !wasStarted {
-		j.started = j.finished
-	}
-	s.statusCounts[status]++
-	s.notifyLocked(j)
-	close(j.doneCh)
-	view := s.viewLocked(j)
-	s.mu.Unlock()
-	if j.trace != nil {
-		j.trace.Root().Set("outcome", string(status))
-		j.trace.End()
-	}
-	if errMsg != "" {
-		j.log.Info("job finished", "status", status, "error", errMsg, "worker", view.Worker)
-	} else {
-		j.log.Info("job finished", "status", status, "source", view.Source, "worker", view.Worker)
-	}
-}
-
-// notifyLocked pushes the job's current view to subscribers; Server.mu
-// must be held. Sends never block.
-func (s *Server) notifyLocked(j *fleetJob) {
-	if len(j.subs) == 0 {
-		return
-	}
-	ev := sseEvent{name: "status", data: s.viewLocked(j)}
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	views := make([]serve.JobView, 0, len(s.order))
-	for _, j := range s.order {
-		v := s.viewLocked(j)
-		v.Result = nil // keep listings light; fetch the job for results
-		views = append(views, v)
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, struct {
-		Jobs []serve.JobView `json:"jobs"`
-	}{views})
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	if !ok {
-		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	view := s.viewLocked(j)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, view)
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	if !ok {
-		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	if j.status.Terminal() {
-		view := s.viewLocked(j)
-		s.mu.Unlock()
-		writeJSON(w, http.StatusConflict, view)
-		return
-	}
-	s.mu.Unlock()
-	j.cancel()
-	// Give the dispatcher a moment to converge so the response usually
-	// carries the terminal view; it finishes asynchronously regardless.
-	select {
-	case <-j.doneCh:
-	case <-time.After(2 * time.Second):
-	}
-	s.mu.Lock()
-	view := s.viewLocked(j)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleEvents streams the coordinator job's lifecycle as SSE in the
-// same framing as a worker daemon: a "status" event on subscription
-// and at every transition, proxied "progress" events while the job
-// runs, and a final terminal "status" event.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	f, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-
-	ch := make(chan sseEvent, 8)
-	s.mu.Lock()
-	j.subs[ch] = struct{}{}
-	s.sseSubs++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(j.subs, ch)
-		s.sseSubs--
-		s.mu.Unlock()
-	}()
-
-	emitView := func() (terminal bool, err error) {
-		s.mu.Lock()
-		view := s.viewLocked(j)
-		s.mu.Unlock()
-		return view.Status.Terminal(), writeSSE(w, f, sseEvent{name: "status", data: view})
-	}
-	if terminal, err := emitView(); terminal || err != nil {
-		return
-	}
-	for {
-		select {
-		case ev := <-ch:
-			if err := writeSSE(w, f, ev); err != nil {
-				return
-			}
-			if view, ok := ev.data.(serve.JobView); ok && view.Status.Terminal() {
-				return
-			}
-		case <-j.doneCh:
-			_, _ = emitView()
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func writeSSE(w http.ResponseWriter, f http.Flusher, ev sseEvent) error {
-	b, err := json.Marshal(ev.data)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, b); err != nil {
-		return err
-	}
-	f.Flush()
-	return nil
-}
-
-// handleTrace exports a fleet job's telemetry span tree (?format=tree
-// for the nested form), mirroring the worker daemon's endpoint.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	if j.trace == nil {
-		writeError(w, http.StatusNotFound, "telemetry is disabled; start the coordinator with -telemetry")
-		return
-	}
-	if r.URL.Query().Get("format") == "tree" {
-		writeJSON(w, http.StatusOK, j.trace.Snapshot())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := j.trace.WriteChrome(w); err != nil {
-		s.logger.WarnContext(r.Context(), "trace export failed", "job", j.id, "error", err)
-	}
-}
-
-// Shutdown stops admission, cancels every live job, waits for their
-// dispatchers, and stops the registry. If ctx expires first, Shutdown
-// returns its error once the dispatchers exit.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	var live []*fleetJob
-	for _, j := range s.order {
-		if !j.status.Terminal() {
-			live = append(live, j)
-		}
-	}
-	s.mu.Unlock()
-	for _, j := range live {
-		j.cancel()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-		<-done
-	}
-	s.reg.Close()
-	return err
 }

@@ -61,6 +61,12 @@ type testWorker struct {
 
 func newWorker(t *testing.T, dir string) *testWorker {
 	t.Helper()
+	return newWorkerWith(t, dir, serve.Options{})
+}
+
+// newWorkerWith is newWorker with the daemon's serve options.
+func newWorkerWith(t *testing.T, dir string, opts serve.Options) *testWorker {
+	t.Helper()
 	var cache *runner.DiskCache
 	if dir != "" {
 		var err error
@@ -69,7 +75,8 @@ func newWorker(t *testing.T, dir string) *testWorker {
 		}
 	}
 	eng := runner.New(runner.Options{Workers: 2, Cache: cache})
-	srv := serve.New(serve.Options{Engine: eng})
+	opts.Engine = eng
+	srv := serve.New(opts)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -86,11 +93,16 @@ func newCoordinator(t *testing.T, workers ...*testWorker) (*Server, *httptest.Se
 	for i, w := range workers {
 		urls[i] = w.ts.URL
 	}
+	return newCoordinatorURLs(t, urls...)
+}
+
+func newCoordinatorURLs(t *testing.T, urls ...string) (*Server, *httptest.Server) {
+	t.Helper()
 	s, err := New(Options{
 		Workers:       urls,
 		ProbeInterval: 25 * time.Millisecond,
 		Retries:       3,
-	})
+	}, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,16 +137,30 @@ func submitWait(t *testing.T, base string, spec simspec.Spec) serve.JobView {
 }
 
 func trySubmitWait(base string, spec simspec.Spec) (serve.JobView, error) {
-	b, err := json.Marshal(serve.SubmitRequest{Spec: spec, Client: "fleet-test"})
+	return trySubmitRequest(base+"/v1/jobs?wait=1", serve.SubmitRequest{Spec: spec, Client: "fleet-test"}, http.StatusOK)
+}
+
+// submitAsync submits without waiting and returns the accepted view.
+func submitAsync(t *testing.T, base string, spec simspec.Spec) serve.JobView {
+	t.Helper()
+	view, err := trySubmitRequest(base+"/v1/jobs", serve.SubmitRequest{Spec: spec, Client: "fleet-test"}, http.StatusAccepted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view
+}
+
+func trySubmitRequest(url string, req serve.SubmitRequest, want int) (serve.JobView, error) {
+	b, err := json.Marshal(req)
 	if err != nil {
 		return serve.JobView{}, err
 	}
-	resp, err := http.Post(base+"/v1/jobs?wait=1", "application/json", bytes.NewReader(b))
+	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
 	if err != nil {
 		return serve.JobView{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != want {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		return serve.JobView{}, fmt.Errorf("submit: status %d: %s", resp.StatusCode, body)
 	}
@@ -143,6 +169,72 @@ func trySubmitWait(base string, spec simspec.Spec) (serve.JobView, error) {
 		return serve.JobView{}, err
 	}
 	return view, nil
+}
+
+// getView fetches one job's view; ok is false on any error.
+func getView(url string) (view serve.JobView, ok bool) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return view, false
+	}
+	defer resp.Body.Close()
+	return view, resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&view) == nil
+}
+
+// listJobs returns a daemon's GET /v1/jobs listing (nil on error).
+func listJobs(base string) []serve.JobView {
+	resp, err := http.Get(base + "/v1/jobs")
+	if err != nil {
+		return nil
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Jobs []serve.JobView `json:"jobs"`
+	}
+	if json.NewDecoder(resp.Body).Decode(&list) != nil {
+		return nil
+	}
+	return list.Jobs
+}
+
+// runningJob returns the first running job on the worker, if any.
+func runningJob(w *testWorker) (serve.JobView, bool) {
+	for _, v := range listJobs(w.ts.URL) {
+		if v.Status == serve.StatusRunning {
+			return v, true
+		}
+	}
+	return serve.JobView{}, false
+}
+
+// metrics fetches a daemon's /metrics page.
+func metrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// cancelJob DELETEs a job and discards the answer.
+func cancelJob(t *testing.T, url string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 }
 
 func resultBytes(t *testing.T, view serve.JobView) []byte {
@@ -217,17 +309,13 @@ func TestFleetFailoverMidRun(t *testing.T) {
 	// Wait until the job is running on a worker, then kill that worker.
 	var victim, survivor *testWorker
 	waitFor(t, "job dispatched", func() bool {
-		coord.mu.Lock()
-		defer coord.mu.Unlock()
-		for _, j := range coord.order {
-			if j.status == serve.StatusRunning && j.worker != "" {
-				if j.worker == w1.ts.URL {
-					victim, survivor = w1, w2
-				} else {
-					victim, survivor = w2, w1
-				}
-				return true
-			}
+		if _, ok := runningJob(w1); ok {
+			victim, survivor = w1, w2
+			return true
+		}
+		if _, ok := runningJob(w2); ok {
+			victim, survivor = w2, w1
+			return true
 		}
 		return false
 	})
@@ -247,9 +335,10 @@ func TestFleetFailoverMidRun(t *testing.T) {
 
 	// The retry counter recorded the failover and the registry marked
 	// the victim down.
-	coord.mu.Lock()
-	retries := coord.nRetry
-	coord.mu.Unlock()
+	var retries int
+	for _, line := range strings.Split(metrics(t, ts.URL), "\n") {
+		fmt.Sscanf(line, "delrepfleet_retries_total %d", &retries)
+	}
 	if retries == 0 {
 		t.Error("failover did not count a retry round")
 	}
@@ -322,12 +411,7 @@ func TestFleetCacheTierProbe(t *testing.T) {
 	if got := resultBytes(t, served); !bytes.Equal(got, want) {
 		t.Fatalf("cache-tier result differs from the worker's own")
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
+	body := metrics(t, ts.URL)
 	if !strings.Contains(string(body), `delrepfleet_cache_probes_total{result="hit"} 1`) {
 		t.Errorf("metrics do not record the cache-probe hit:\n%s", body)
 	}
@@ -373,7 +457,7 @@ func TestClientResolverThroughEngine(t *testing.T) {
 	if run.Source != runner.SourceExecuted {
 		t.Fatalf("source = %v, want executed (the fleet executed it)", run.Source)
 	}
-	if c := eng.Counters(); c.Executed != 1 {
+	if c := eng.Snapshot(); c.Executed != 1 {
 		t.Fatalf("counters = %+v, want the remote execution counted as executed", c)
 	}
 
@@ -439,62 +523,106 @@ func TestClientResolverLocalFallback(t *testing.T) {
 // job stops running instead of burning a slot to completion.
 func TestFleetCancelPropagation(t *testing.T) {
 	w := newWorker(t, t.TempDir())
-	coord, ts := newCoordinator(t, w)
+	_, ts := newCoordinator(t, w)
 
-	b, err := json.Marshal(serve.SubmitRequest{Spec: foreverSpec(550), Client: "fleet-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var view serve.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d", resp.StatusCode)
-	}
-
+	view := submitAsync(t, ts.URL, foreverSpec(550))
+	var remote serve.JobView
 	waitFor(t, "job running on worker", func() bool {
-		coord.mu.Lock()
-		defer coord.mu.Unlock()
-		j := coord.jobs[view.ID]
-		return j != nil && j.status == serve.StatusRunning && j.remoteID != ""
+		var ok bool
+		remote, ok = runningJob(w)
+		return ok
 	})
-	coord.mu.Lock()
-	remoteID := coord.jobs[view.ID].remoteID
-	coord.mu.Unlock()
 
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+view.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, dresp.Body)
-	dresp.Body.Close()
+	cancelJob(t, ts.URL+"/v1/jobs/"+view.ID)
 
 	// Both ends reach cancelled: the coordinator job and the worker job.
 	waitFor(t, "coordinator job cancelled", func() bool {
-		coord.mu.Lock()
-		defer coord.mu.Unlock()
-		return coord.jobs[view.ID].status == serve.StatusCancelled
+		v, ok := getView(ts.URL + "/v1/jobs/" + view.ID)
+		return ok && v.Status == serve.StatusCancelled
 	})
 	waitFor(t, "worker job cancelled", func() bool {
-		r, err := http.Get(w.ts.URL + "/v1/jobs/" + remoteID)
-		if err != nil {
-			return false
-		}
-		defer r.Body.Close()
-		var wv serve.JobView
-		if json.NewDecoder(r.Body).Decode(&wv) != nil {
-			return false
-		}
-		return wv.Status == serve.StatusCancelled
+		v, ok := getView(w.ts.URL + "/v1/jobs/" + remote.ID)
+		return ok && v.Status == serve.StatusCancelled
 	})
+}
+
+// The coordinator forwards the request as submitted: the worker's job
+// carries the client's priority and identity, and the spec's parallel
+// hint is granted by the worker's own cap.
+func TestFleetForwardsRequest(t *testing.T) {
+	w := newWorkerWith(t, t.TempDir(), serve.Options{MaxRunParallel: 2})
+	_, ts := newCoordinator(t, w)
+
+	spec := shortSpec(560)
+	spec.Parallel = 2
+	view, err := trySubmitRequest(ts.URL+"/v1/jobs?wait=1",
+		serve.SubmitRequest{Spec: spec, Priority: "high", Client: "sweep-7"}, http.StatusOK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Status != serve.StatusDone || view.Priority != "high" || view.Client != "sweep-7" {
+		t.Fatalf("coordinator view = %s/%s/%s, want done/high/sweep-7", view.Status, view.Priority, view.Client)
+	}
+	jobs := listJobs(w.ts.URL)
+	if len(jobs) != 1 {
+		t.Fatalf("worker saw %d jobs, want 1", len(jobs))
+	}
+	if j := jobs[0]; j.Priority != "high" || j.Client != "sweep-7" || j.Parallel != 2 {
+		t.Fatalf("worker job priority/client/parallel = %s/%s/%d, want high/sweep-7/2",
+			j.Priority, j.Client, j.Parallel)
+	}
+}
+
+// A running coordinator job reports its worker's progress, both on
+// GET /v1/jobs/{id} and on its event stream.
+func TestFleetRunningProgress(t *testing.T) {
+	w := newWorker(t, t.TempDir())
+	_, ts := newCoordinator(t, w)
+
+	view := submitAsync(t, ts.URL, foreverSpec(570))
+	defer cancelJob(t, ts.URL+"/v1/jobs/"+view.ID)
+	waitFor(t, "coordinator job progress", func() bool {
+		v, ok := getView(ts.URL + "/v1/jobs/" + view.ID)
+		return ok && v.Status == serve.StatusRunning && v.Progress != nil && v.Progress.CyclesDone > 0
+	})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+view.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var done int64
+	readSSE(resp.Body, func(event string, data []byte) bool {
+		var pv serve.ProgressView
+		if event == "progress" && json.Unmarshal(data, &pv) == nil {
+			done = pv.CyclesDone
+		}
+		return done == 0
+	})
+	if done == 0 {
+		t.Fatal("event stream carried no progress before the deadline")
+	}
+}
+
+// A worker URL spelled with a trailing slash names the same worker to
+// the ring, the registry and the resolver, so jobs run instead of
+// failing with "no ready workers" behind a ready /readyz.
+func TestFleetWorkerURLTrailingSlash(t *testing.T) {
+	w := newWorker(t, t.TempDir())
+	_, ts := newCoordinatorURLs(t, w.ts.URL+"/")
+
+	spec := shortSpec(580)
+	view := submitWait(t, ts.URL, spec)
+	if got, want := resultBytes(t, view), directResult(t, spec); !bytes.Equal(got, want) {
+		t.Fatalf("fleet result differs from direct run:\n fleet:  %s\n direct: %s", got, want)
+	}
+	if view.Worker != w.ts.URL {
+		t.Fatalf("view.Worker = %q, want %q", view.Worker, w.ts.URL)
+	}
 }

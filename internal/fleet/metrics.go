@@ -1,99 +1,71 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
-	"strings"
-
-	"delrep/internal/serve"
 )
 
-// handleHealthz is liveness: the coordinator process is up.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz is readiness: 200 while accepting jobs and at least one
-// worker is ready; 503 when draining or the whole fleet is down, so
-// load balancers stop routing submissions at a coordinator that could
-// only queue them into failure.
+// handleReadyz adds fleet health to the front end's readiness: 503
+// while no worker is ready, so load balancers stop routing submissions
+// at a coordinator that could only queue them into failure; otherwise
+// the serve.Server answers (503 once draining).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	switch {
-	case draining:
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-	case s.reg.ReadyCount() == 0:
+	if s.res.reg.ReadyCount() == 0 {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "no ready workers")
-	default:
-		fmt.Fprintln(w, "ready")
+		return
 	}
+	s.srv.Handler().ServeHTTP(w, r)
 }
 
 // handleWorkers reports the registry's view of the fleet.
 func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	infos := s.reg.Infos()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].URL < infos[j].URL })
-	writeJSON(w, http.StatusOK, struct {
+	infos := s.res.reg.Infos()
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(struct {
 		Workers []WorkerInfo `json:"workers"`
 	}{infos})
 }
 
-// handleMetrics writes the coordinator's state in the Prometheus text
-// exposition format: fleet-wide gauges, dispatch/failover/steal
-// counters, the cache-tier probe accounting, and per-worker health.
+// handleMetrics writes the front end's delrepfleet_* series (queue,
+// jobs, admission, engine and latency, as on delrepd) followed by the
+// resolver's: dispatch/failover/steal counters, the cache-tier probe
+// accounting, and per-worker health.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	infos := s.reg.Infos()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].URL < infos[j].URL })
-
-	s.mu.Lock()
-	var b strings.Builder
+	s.srv.Handler().ServeHTTP(w, r)
+	infos := s.res.reg.Infos()
 	ready := 0
 	for _, wi := range infos {
 		if wi.Ready {
 			ready++
 		}
 	}
-	fmt.Fprintf(&b, "# TYPE delrepfleet_workers gauge\ndelrepfleet_workers %d\n", len(infos))
-	fmt.Fprintf(&b, "# TYPE delrepfleet_workers_ready gauge\ndelrepfleet_workers_ready %d\n", ready)
-	fmt.Fprintf(&b, "# TYPE delrepfleet_jobs_running gauge\ndelrepfleet_jobs_running %d\n", s.runningCount)
-	fmt.Fprintf(&b, "# TYPE delrepfleet_sse_subscribers gauge\ndelrepfleet_sse_subscribers %d\n", s.sseSubs)
+	fmt.Fprintf(w, "# TYPE delrepfleet_workers_ready gauge\ndelrepfleet_workers_ready %d\n", ready)
+	fmt.Fprintf(w, "# TYPE delrepfleet_dispatch_total counter\ndelrepfleet_dispatch_total %d\n", s.res.nDispatch.Load())
+	fmt.Fprintf(w, "# TYPE delrepfleet_retries_total counter\ndelrepfleet_retries_total %d\n", s.res.nRetry.Load())
+	fmt.Fprintf(w, "# TYPE delrepfleet_steals_total counter\ndelrepfleet_steals_total %d\n", s.res.nSteal.Load())
+	fmt.Fprintf(w, "# TYPE delrepfleet_cache_probes_total counter\n")
+	fmt.Fprintf(w, "delrepfleet_cache_probes_total{result=\"hit\"} %d\n", s.res.nProbeHit.Load())
+	fmt.Fprintf(w, "delrepfleet_cache_probes_total{result=\"miss\"} %d\n", s.res.nProbeMiss.Load())
 
-	fmt.Fprintf(&b, "# TYPE delrepfleet_jobs_total counter\n")
-	for _, st := range []serve.Status{serve.StatusDone, serve.StatusFailed, serve.StatusCancelled} {
-		fmt.Fprintf(&b, "delrepfleet_jobs_total{status=%q} %d\n", st, s.statusCounts[st])
-	}
-	fmt.Fprintf(&b, "# TYPE delrepfleet_dispatch_total counter\ndelrepfleet_dispatch_total %d\n", s.nDispatch)
-	fmt.Fprintf(&b, "# TYPE delrepfleet_retries_total counter\ndelrepfleet_retries_total %d\n", s.nRetry)
-	fmt.Fprintf(&b, "# TYPE delrepfleet_steals_total counter\ndelrepfleet_steals_total %d\n", s.nSteal)
-	fmt.Fprintf(&b, "# TYPE delrepfleet_cache_probes_total counter\n")
-	fmt.Fprintf(&b, "delrepfleet_cache_probes_total{result=\"hit\"} %d\n", s.nProbeHit)
-	fmt.Fprintf(&b, "delrepfleet_cache_probes_total{result=\"miss\"} %d\n", s.nProbeMiss)
-	s.mu.Unlock()
-
-	fmt.Fprintf(&b, "# TYPE delrepfleet_worker_up gauge\n")
+	fmt.Fprintf(w, "# TYPE delrepfleet_worker_up gauge\n")
 	for _, wi := range infos {
 		up := 0
 		if wi.Ready {
 			up = 1
 		}
-		fmt.Fprintf(&b, "delrepfleet_worker_up{worker=%q} %d\n", wi.URL, up)
+		fmt.Fprintf(w, "delrepfleet_worker_up{worker=%q} %d\n", wi.URL, up)
 	}
-	fmt.Fprintf(&b, "# TYPE delrepfleet_worker_outstanding gauge\n")
+	fmt.Fprintf(w, "# TYPE delrepfleet_worker_outstanding gauge\n")
 	for _, wi := range infos {
-		fmt.Fprintf(&b, "delrepfleet_worker_outstanding{worker=%q} %d\n", wi.URL, wi.Outstanding)
+		fmt.Fprintf(w, "delrepfleet_worker_outstanding{worker=%q} %d\n", wi.URL, wi.Outstanding)
 	}
-	fmt.Fprintf(&b, "# TYPE delrepfleet_worker_slots gauge\n")
+	fmt.Fprintf(w, "# TYPE delrepfleet_worker_slots gauge\n")
 	for _, wi := range infos {
-		fmt.Fprintf(&b, "delrepfleet_worker_slots{worker=%q} %d\n", wi.URL, wi.Slots)
+		fmt.Fprintf(w, "delrepfleet_worker_slots{worker=%q} %d\n", wi.URL, wi.Slots)
 	}
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, b.String())
 }

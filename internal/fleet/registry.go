@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,8 +76,9 @@ type Registry struct {
 	done     chan struct{}
 }
 
-// NewRegistry builds a registry over the worker base URLs and starts
-// its probe loop. interval <= 0 selects the default cadence.
+// NewRegistry builds a registry over the worker base URLs, keyed by
+// their spelling as given (New normalises it), and starts its probe
+// loop. interval <= 0 selects the default cadence.
 func NewRegistry(urls []string, interval time.Duration, client *http.Client, logger *slog.Logger) *Registry {
 	if interval <= 0 {
 		interval = defaultProbeInterval
@@ -96,7 +98,6 @@ func NewRegistry(urls []string, interval time.Duration, client *http.Client, log
 		done:     make(chan struct{}),
 	}
 	for _, u := range urls {
-		u = strings.TrimRight(u, "/")
 		if u == "" {
 			continue
 		}
@@ -314,13 +315,13 @@ func (r *Registry) Info(url string) WorkerInfo {
 	}
 }
 
-// Infos snapshots every worker, sorted by URL order of the input is
-// not preserved; callers sort as needed.
+// Infos snapshots every worker, sorted by URL.
 func (r *Registry) Infos() []WorkerInfo {
 	out := make([]WorkerInfo, 0)
 	for _, w := range r.snapshotWorkers() {
 		out = append(out, r.Info(w.url))
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out
 }
 

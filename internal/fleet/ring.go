@@ -3,6 +3,14 @@
 // delrepd worker daemons, plus the client used by delrepsim -remote
 // and expdriver -remote.
 //
+// The coordinator is not a second job server. It is a serve.Server —
+// the daemon's own job front end, with its admission control, SSE
+// progress, traces, memo and drain — over a runner engine whose
+// Options.Remote is this package's ring resolver. The fleet itself
+// owns only routing: the hash ring, the worker registry, the resolver
+// (cache-tier probe, submit, watch, failover, stealing), and three
+// routes layered on the front end (/readyz, /v1/workers, /metrics).
+//
 // The design leans entirely on properties the single-node stack
 // already guarantees:
 //
@@ -11,13 +19,13 @@
 //     however often it runs. Replays are therefore idempotent, which
 //     makes retry-with-failover trivially safe — a job rerun on a
 //     survivor after a worker death returns byte-identical output.
-//   - Specs route to workers by consistent hashing of runner.KeyHash,
-//     so each worker's warm disk cache becomes one shard of a
-//     distributed cache tier; the coordinator probes the shard
-//     (GET /v1/cache/{key}) before spending a queue slot.
-//   - The coordinator speaks the same /v1/jobs wire API as delrepd
-//     (submit, wait, SSE progress, cancel), so every existing client
-//     works against a fleet unchanged.
+//   - Specs route to workers by consistent hashing of runner.Key, so
+//     each worker's warm disk cache becomes one shard of a distributed
+//     cache tier; the resolver probes the shard (GET /v1/cache/{key})
+//     before spending a queue slot.
+//   - The coordinator serves the same /v1/jobs wire API as delrepd
+//     because it runs the same code, so every existing client works
+//     against a fleet unchanged.
 //
 // The non-negotiable invariant: a fleet-served result is
 // byte-comparable — same simspec.Result JSON, same digest — with a

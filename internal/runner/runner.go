@@ -99,7 +99,12 @@ type Resolver interface {
 	// cannot be expressed in the wire form; the engine then falls back
 	// to executing locally. Any other error fails the run (the resolver
 	// is expected to have already retried/failed over internally).
-	Resolve(ctx context.Context, spec Spec, parallel int) (Remote, error)
+	//
+	// ctx carries the first submitter's context values (its telemetry
+	// span, and on a serving engine its serve.SubmitRequest). progress
+	// reports the remote run's cycles into the Future, so a resolver
+	// that follows the run can surface it via Future.Progress.
+	Resolve(ctx context.Context, spec Spec, parallel int, progress func(done, total int64)) (Remote, error)
 }
 
 // Remote is one remotely resolved run.
@@ -108,6 +113,7 @@ type Remote struct {
 	Digest  uint64
 	Source  Source // how the remote end obtained the result
 	Worker  string // base URL of the worker daemon that served it
+	Workers int    // intra-run workers the remote execution ticked with (Run.Workers)
 }
 
 // ErrNotRemotable marks a spec that cannot be expressed as a wire
@@ -129,7 +135,8 @@ type Run struct {
 	// Workers is the engine-effective intra-run worker count the
 	// simulation actually ticked with (core.AuditRun.Workers): the
 	// requested parallelism after the engine clamps it to what the
-	// topology can use. Execution metadata only — zero for memo and
+	// topology can use; for a remote execution, the worker's
+	// (Remote.Workers). Execution metadata only — zero for memo and
 	// disk hits (those ran elsewhere, possibly at another N), and
 	// never part of Results or the cache.
 	Workers int
@@ -254,8 +261,9 @@ func (e *Engine) Snapshot() Counters {
 	}
 }
 
-// Counters is an alias for Snapshot, kept for existing callers.
-func (e *Engine) Counters() Counters { return e.Snapshot() }
+// Remote returns the engine's remote resolver (nil when it executes
+// locally).
+func (e *Engine) Remote() Resolver { return e.remote }
 
 // Future is a handle to one submitted simulation.
 type Future struct {
@@ -310,7 +318,7 @@ func (f *Future) Progress() (done, total int64) {
 // waiters do. Otherwise the future's execution is cancelled once every
 // registered cancellable context has been cancelled.
 func (f *Future) addWaiter(ctx context.Context) {
-	if ctx == nil || ctx.Done() == nil {
+	if ctx.Done() == nil {
 		f.mu.Lock()
 		f.pinned = true
 		f.mu.Unlock()
@@ -350,7 +358,8 @@ func (e *Engine) Submit(spec Spec) *Future {
 // from the memo table before it completes, so a later submission of
 // the same spec re-executes.
 func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) *Future {
-	return e.SubmitCtxParallel(ctx, spec, 0)
+	f, _ := e.SubmitCtxParallel(ctx, spec, 0)
+	return f
 }
 
 // SubmitCtxParallel is SubmitCtx with a per-submission intra-run
@@ -358,8 +367,10 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) *Future {
 // Parallelism is deliberately not part of the memo/cache Key: results
 // are bit-identical at any worker count, so a submission may be served
 // by a future or cached result that ran at a different N — when
-// submissions race, the first one's N wins.
-func (e *Engine) SubmitCtxParallel(ctx context.Context, spec Spec, parallel int) *Future {
+// submissions race, the first one's N wins. joined reports a memo hit:
+// the returned future belongs to an earlier submission, whose Run
+// Source describes that submission, not this one.
+func (e *Engine) SubmitCtxParallel(ctx context.Context, spec Spec, parallel int) (f *Future, joined bool) {
 	if parallel <= 0 {
 		parallel = e.runParallel
 	}
@@ -375,16 +386,18 @@ func (e *Engine) SubmitCtxParallel(ctx context.Context, spec Spec, parallel int)
 			go func() { <-f.done; join.End() }()
 		}
 		f.addWaiter(ctx)
-		return f
+		return f, true
 	}
-	//simlint:ignore ctxflow the run is memoized and shared: its lifetime is the union of all waiter contexts (see addWaiter), not the first submitter's
-	runCtx, cancel := context.WithCancel(context.Background())
-	f := &Future{spec: spec, key: k, done: make(chan struct{}), cancel: cancel, span: span, parallel: parallel}
+	// The run is memoized and shared: its lifetime is the union of all
+	// waiter contexts (see addWaiter), so it drops the first
+	// submitter's cancellation but keeps its values for a Resolver.
+	runCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	f = &Future{spec: spec, key: k, done: make(chan struct{}), cancel: cancel, span: span, parallel: parallel}
 	e.memo[k] = f
 	e.mu.Unlock()
 	f.addWaiter(ctx)
 	go e.execute(f, runCtx)
-	return f
+	return f, false
 }
 
 // Run submits one simulation and waits for it.
@@ -476,7 +489,11 @@ func (e *Engine) execute(f *Future, runCtx context.Context) {
 // once per spec per cache lifetime.
 func (e *Engine) resolveRemote(f *Future, runCtx context.Context) (done bool) {
 	span := f.span.Start("fleet.resolve")
-	rem, err := e.remote.Resolve(runCtx, f.spec, f.parallel)
+	rem, err := e.remote.Resolve(telemetry.ContextWithSpan(runCtx, span), f.spec, f.parallel,
+		func(done, total int64) {
+			f.progDone.Store(done)
+			f.progTotal.Store(total)
+		})
 	if errors.Is(err, ErrNotRemotable) {
 		span.Set("fallback", "local")
 		span.End()
@@ -506,7 +523,7 @@ func (e *Engine) resolveRemote(f *Future, runCtx context.Context) (done bool) {
 	f.progTotal.Store(total)
 	f.progDone.Store(total)
 	f.run = Run{Spec: f.spec, Results: rem.Results, Digest: rem.Digest,
-		Source: rem.Source, Worker: rem.Worker}
+		Source: rem.Source, Workers: rem.Workers, Worker: rem.Worker}
 	if e.cache != nil {
 		_ = e.cache.Put(f.key, rem.Digest, rem.Results)
 	}

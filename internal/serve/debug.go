@@ -25,6 +25,7 @@ func (s *Server) handleDebugJobs(w http.ResponseWriter, r *http.Request) {
 
 // statusPage is the data fed to the /debug/status template.
 type statusPage struct {
+	Name         string
 	Uptime       string
 	Workers      int
 	Queued       int
@@ -43,7 +44,7 @@ type statusPage struct {
 var statusTmpl = template.Must(template.New("status").Funcs(template.FuncMap{
 	"seconds": func(us int64) float64 { return float64(us) / 1e6 },
 }).Parse(`<!DOCTYPE html>
-<html><head><title>delrepd status</title>
+<html><head><title>{{.Name}} status</title>
 <style>
 body { font-family: sans-serif; margin: 2em; }
 table { border-collapse: collapse; margin-top: 0.5em; }
@@ -52,7 +53,7 @@ th { background: #f0f0f0; }
 .gauges span { margin-right: 2em; }
 </style></head>
 <body>
-<h1>delrepd</h1>
+<h1>{{.Name}}</h1>
 <p class="gauges">
 <span>uptime <b>{{.Uptime}}</b></span>
 <span>workers <b>{{.Workers}}</b></span>
@@ -95,6 +96,7 @@ func (s *Server) handleDebugStatus(w http.ResponseWriter, r *http.Request) {
 	cacheStats := s.eng.DiskCache().Stats()
 	s.mu.Lock()
 	page := statusPage{
+		Name:         s.name,
 		Uptime:       time.Since(s.started).Round(time.Second).String(),
 		Workers:      s.workers,
 		Queued:       s.queuedCount,

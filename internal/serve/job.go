@@ -105,17 +105,17 @@ type Job struct {
 }
 
 // ProgressView is the running-job progress fragment of a job view.
-// Exported because it is wire format: the fleet coordinator
-// (internal/fleet) re-emits it verbatim when proxying worker progress.
+// Exported because it is wire format: the fleet resolver
+// (internal/fleet) decodes a worker's progress events with it.
 type ProgressView struct {
 	CyclesDone  int64 `json:"cycles_done"`
 	CyclesTotal int64 `json:"cycles_total"`
 }
 
 // JobView is the JSON rendering of a job returned by the API. It is
-// the shared wire form of the /v1/jobs surface: delrepd serves it, the
-// fleet coordinator serves the same shape (so every client works
-// against either), and fleet clients decode it.
+// the shared wire form of the /v1/jobs surface: delrepd and the fleet
+// coordinator (a Server over a ring-resolving engine) serve it, and
+// fleet clients and the fleet resolver decode it.
 type JobView struct {
 	ID       string       `json:"id"`
 	Status   Status       `json:"status"`
@@ -137,9 +137,10 @@ type JobView struct {
 	Workers  int             `json:"workers,omitempty"`
 	Progress *ProgressView   `json:"progress,omitempty"`
 	Result   *simspec.Result `json:"result,omitempty"`
-	// Worker is the base URL of the worker daemon that served the job.
-	// Only the fleet coordinator sets it; a single delrepd leaves it
-	// empty (it is its own worker).
+	// Worker is the base URL of the worker daemon that served the job
+	// (runner.Run.Worker), set once the job is terminal. Only a fleet
+	// coordinator sets it; a single delrepd leaves it empty (it is its
+	// own worker).
 	Worker string `json:"worker,omitempty"`
 }
 
@@ -153,6 +154,7 @@ func (j *Job) viewLocked() JobView {
 		Spec:     j.spec,
 		Created:  j.created.UTC().Format(time.RFC3339Nano),
 		Error:    j.errMsg,
+		Worker:   j.run.Worker,
 	}
 	if !j.started.IsZero() {
 		v.Started = j.started.UTC().Format(time.RFC3339Nano)

@@ -32,55 +32,59 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics writes the daemon's state in the Prometheus text
 // exposition format: queue and worker gauges, terminal-outcome and
 // admission-rejection counters, the engine's cache accounting, and the
-// job latency histogram.
+// job latency histogram. Every series is named after the daemon
+// (s.name), so a fleet coordinator's page never collides with its
+// workers'.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c := s.eng.Snapshot()
 	cacheStats := s.eng.DiskCache().Stats()
+	p := s.name
 
 	s.mu.Lock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "# TYPE delrepd_jobs_queued gauge\ndelrepd_jobs_queued %d\n", s.queuedCount)
-	fmt.Fprintf(&b, "# TYPE delrepd_jobs_running gauge\ndelrepd_jobs_running %d\n", s.runningCount)
-	fmt.Fprintf(&b, "# TYPE delrepd_workers gauge\ndelrepd_workers %d\n", s.workers)
-	fmt.Fprintf(&b, "# TYPE delrepd_worker_utilization gauge\ndelrepd_worker_utilization %g\n",
-		float64(s.runningCount)/float64(s.workers))
-	fmt.Fprintf(&b, "# TYPE delrepd_sse_subscribers gauge\ndelrepd_sse_subscribers %d\n", s.sseSubs)
+	gauge := func(name string, v any) {
+		fmt.Fprintf(&b, "# TYPE %s_%s gauge\n%s_%s %v\n", p, name, p, name, v)
+	}
+	gauge("jobs_queued", s.queuedCount)
+	gauge("jobs_running", s.runningCount)
+	gauge("workers", s.workers)
+	gauge("worker_utilization", float64(s.runningCount)/float64(s.workers))
+	gauge("sse_subscribers", s.sseSubs)
 
-	fmt.Fprintf(&b, "# TYPE delrepd_jobs_total counter\n")
+	fmt.Fprintf(&b, "# TYPE %s_jobs_total counter\n", p)
 	for _, st := range []Status{StatusDone, StatusFailed, StatusCancelled} {
-		fmt.Fprintf(&b, "delrepd_jobs_total{status=%q} %d\n", st, s.statusCounts[st])
+		fmt.Fprintf(&b, "%s_jobs_total{status=%q} %d\n", p, st, s.statusCounts[st])
 	}
-	fmt.Fprintf(&b, "# TYPE delrepd_rejects_total counter\n")
+	fmt.Fprintf(&b, "# TYPE %s_rejects_total counter\n", p)
 	for _, reason := range []string{"queue_full", "client_cap", "draining"} {
-		fmt.Fprintf(&b, "delrepd_rejects_total{reason=%q} %d\n", reason, s.rejects[reason])
+		fmt.Fprintf(&b, "%s_rejects_total{reason=%q} %d\n", p, reason, s.rejects[reason])
 	}
 
-	fmt.Fprintf(&b, "# TYPE delrepd_engine_runs_total counter\n")
-	fmt.Fprintf(&b, "delrepd_engine_runs_total{source=\"executed\"} %d\n", c.Executed)
-	fmt.Fprintf(&b, "delrepd_engine_runs_total{source=\"memo\"} %d\n", c.MemoHits)
-	fmt.Fprintf(&b, "delrepd_engine_runs_total{source=\"disk\"} %d\n", c.DiskHits)
-	fmt.Fprintf(&b, "delrepd_engine_runs_total{source=\"failed\"} %d\n", c.Failed)
+	fmt.Fprintf(&b, "# TYPE %s_engine_runs_total counter\n", p)
+	fmt.Fprintf(&b, "%s_engine_runs_total{source=\"executed\"} %d\n", p, c.Executed)
+	fmt.Fprintf(&b, "%s_engine_runs_total{source=\"memo\"} %d\n", p, c.MemoHits)
+	fmt.Fprintf(&b, "%s_engine_runs_total{source=\"disk\"} %d\n", p, c.DiskHits)
+	fmt.Fprintf(&b, "%s_engine_runs_total{source=\"failed\"} %d\n", p, c.Failed)
 	// Hit ratio over resolved submissions: memo and disk hits per
 	// submission that produced a result.
+	hitRatio := 0.0
 	if resolved := c.Executed + c.MemoHits + c.DiskHits; resolved > 0 {
-		fmt.Fprintf(&b, "# TYPE delrepd_cache_hit_ratio gauge\ndelrepd_cache_hit_ratio %g\n",
-			float64(c.MemoHits+c.DiskHits)/float64(resolved))
-	} else {
-		fmt.Fprintf(&b, "# TYPE delrepd_cache_hit_ratio gauge\ndelrepd_cache_hit_ratio 0\n")
+		hitRatio = float64(c.MemoHits+c.DiskHits) / float64(resolved)
 	}
-	fmt.Fprintf(&b, "# TYPE delrepd_disk_cache_total counter\n")
-	fmt.Fprintf(&b, "delrepd_disk_cache_total{result=\"hit\"} %d\n", cacheStats.Hits)
-	fmt.Fprintf(&b, "delrepd_disk_cache_total{result=\"miss\"} %d\n", cacheStats.Misses)
-	fmt.Fprintf(&b, "delrepd_disk_cache_total{result=\"corrupt\"} %d\n", cacheStats.Corrupt)
+	gauge("cache_hit_ratio", hitRatio)
+	fmt.Fprintf(&b, "# TYPE %s_disk_cache_total counter\n", p)
+	fmt.Fprintf(&b, "%s_disk_cache_total{result=\"hit\"} %d\n", p, cacheStats.Hits)
+	fmt.Fprintf(&b, "%s_disk_cache_total{result=\"miss\"} %d\n", p, cacheStats.Misses)
+	fmt.Fprintf(&b, "%s_disk_cache_total{result=\"corrupt\"} %d\n", p, cacheStats.Corrupt)
 
-	err := s.latency.WriteProm(&b, "delrepd_job_seconds")
+	err := s.latency.WriteProm(&b, p+"_job_seconds")
 	for _, fam := range []struct {
 		name  string
 		hists *[numPriorities]*stats.Histogram
 	}{
-		{"delrepd_job_queue_seconds", &s.queueWait},
-		{"delrepd_job_exec_seconds", &s.execTime},
-		{"delrepd_job_total_seconds", &s.totalTime},
+		{p + "_job_queue_seconds", &s.queueWait},
+		{p + "_job_exec_seconds", &s.execTime},
+		{p + "_job_total_seconds", &s.totalTime},
 	} {
 		if err != nil {
 			break

@@ -57,6 +57,14 @@
 // and the freed worker slot immediately dispatches the next queued
 // job. Cancelling one job never disturbs another that shares its
 // deduplicated future.
+//
+// The same Server is the fleet coordinator (internal/fleet): there the
+// engine's Options.Remote resolves each job on a worker daemon instead
+// of simulating it. Every job context carries its SubmitRequest
+// (RequestFromContext) so the resolver can forward it verbatim, a done
+// job's view names the worker that served it, and the metric series
+// are named delrepfleet_* instead of delrepd_*, so the coordinator's
+// page never collides with a worker's.
 package serve
 
 import (
@@ -131,6 +139,7 @@ type Options struct {
 // Handler; stop with Shutdown.
 type Server struct {
 	eng           *runner.Engine
+	name          string // metric prefix and page title: delrepd, or delrepfleet over a remote engine
 	workers       int
 	queueDepth    int
 	clientCap     int
@@ -172,6 +181,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		eng:           opts.Engine,
+		name:          "delrepd",
 		workers:       opts.Workers,
 		queueDepth:    opts.QueueDepth,
 		clientCap:     opts.ClientInFlight,
@@ -189,6 +199,9 @@ func New(opts Options) *Server {
 	}
 	//simlint:ignore rngsource daemon start timestamp, outside any simulation
 	s.started = time.Now()
+	if opts.Engine.Remote() != nil {
+		s.name = "delrepfleet"
+	}
 	for p := 0; p < int(numPriorities); p++ {
 		s.queueWait[p] = stats.NewHistogram(60, 1)
 		s.execTime[p] = stats.NewHistogram(60, 1)
@@ -253,6 +266,19 @@ type SubmitRequest struct {
 	Client   string       `json:"client,omitempty"`
 }
 
+// requestKey keys the SubmitRequest carried by a job's context.
+type requestKey struct{}
+
+// RequestFromContext returns the request a job was submitted with
+// (Client filled in from X-Delrep-Client when the body left it empty).
+// Every job context carries it, and the runner hands the first
+// submitter's context values to its Resolver, so a fleet resolver can
+// forward the request verbatim.
+func RequestFromContext(ctx context.Context) (SubmitRequest, bool) {
+	req, ok := ctx.Value(requestKey{}).(SubmitRequest)
+	return req, ok
+}
+
 // errorBody is the JSON error envelope.
 type errorBody struct {
 	Error string `json:"error"`
@@ -296,10 +322,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	client := req.Client
-	if client == "" {
-		client = r.Header.Get("X-Delrep-Client")
+	if req.Client == "" {
+		req.Client = r.Header.Get("X-Delrep-Client")
 	}
+	client := req.Client
 	specKey := runner.KeyHash(cfg, norm.GPU, norm.CPU)
 	recv.End()
 
@@ -334,7 +360,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seq++
 	//simlint:ignore ctxflow the job outlives the submitting request by design; cancellation comes from DELETE /jobs/{id} or drain, not the HTTP connection
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), requestKey{}, req))
 	//simlint:ignore rngsource daemon job timestamp, outside any simulation
 	created := time.Now()
 	j := &Job{
@@ -589,10 +615,12 @@ func (s *Server) runJob(j *Job) {
 	submitSpan := root.Start("runner.submit")
 	runCtx := telemetry.ContextWithSpan(j.ctx, submitSpan)
 	var run runner.Run
+	var joined bool
 	for {
 		// j.parallel was fixed at dispatch by the same goroutine (next
 		// runs in this worker), so the unlocked read is ordered.
-		fut := s.eng.SubmitCtxParallel(runCtx, rspec, j.parallel)
+		var fut *runner.Future
+		fut, joined = s.eng.SubmitCtxParallel(runCtx, rspec, j.parallel)
 		s.mu.Lock()
 		j.fut = fut
 		s.mu.Unlock()
@@ -603,6 +631,10 @@ func (s *Server) runJob(j *Job) {
 		// The shared future was cancelled by a different job's waiter
 		// between our submission and completion; this job is still
 		// wanted, so resubmit (the failed future has left the memo).
+	}
+	if joined && run.Err == nil {
+		// An earlier job's future answered: this job ran nowhere.
+		run.Source, run.Workers = runner.SourceMemo, 0
 	}
 	submitSpan.Set("source", run.Source.String())
 	submitSpan.End()
@@ -616,9 +648,9 @@ func (s *Server) runJob(j *Job) {
 	s.latency.Add(now.Sub(j.started).Seconds())
 	s.execTime[j.prio].Add(now.Sub(j.started).Seconds())
 	s.totalTime[j.prio].Add(now.Sub(j.created).Seconds())
+	j.run = run
 	switch {
 	case run.Err == nil:
-		j.run = run
 		j.status = StatusDone
 	case j.ctx.Err() != nil && errors.Is(run.Err, context.Canceled):
 		j.status = StatusCancelled

@@ -159,6 +159,16 @@ func TestEndToEndByteIdentical(t *testing.T) {
 		t.Fatalf("daemon result differs from direct run:\n daemon: %s\n direct: %s", gotJSON, directJSON)
 	}
 
+	// A resubmission joins the memoized future: it reports memo, not a
+	// second execution, and the same bytes.
+	again, _ := submit(t, ts, SubmitRequest{Spec: spec}, "?wait=1")
+	if again.Status != StatusDone || again.Source != "memo" {
+		t.Fatalf("resubmission ended %s with source %q, want done from memo", again.Status, again.Source)
+	}
+	if gotAgain, _ := json.Marshal(*again.Result); !bytes.Equal(gotAgain, directJSON) {
+		t.Fatalf("memo result differs from direct run:\n daemon: %s\n direct: %s", gotAgain, directJSON)
+	}
+
 	// A fresh daemon over the same cache dir serves identical bytes
 	// from disk.
 	cache2, err := runner.OpenDiskCache(dir)
@@ -181,7 +191,7 @@ func TestEndToEndByteIdentical(t *testing.T) {
 	if !bytes.Equal(got2, directJSON) {
 		t.Fatalf("disk-cache result differs from direct run:\n daemon: %s\n direct: %s", got2, directJSON)
 	}
-	if c := eng2.Counters(); c.Executed != 0 || c.DiskHits != 1 {
+	if c := eng2.Snapshot(); c.Executed != 0 || c.DiskHits != 1 {
 		t.Fatalf("second engine counters = %+v, want pure disk hit", c)
 	}
 }
